@@ -58,14 +58,6 @@ class AosaSpec:
     ese: EseSpec
     residual: bool
 
-    @property
-    def in_c(self) -> int:
-        return self.acbs[0].in_c
-
-    @property
-    def out_c(self) -> int:
-        return self.projection.conv.out_c
-
 
 def aosa_forward(x: np.ndarray, spec: AosaSpec) -> np.ndarray:
     feats = [x]
@@ -146,7 +138,7 @@ def kaiming_conv(rng: np.random.Generator, out_c: int, in_c: int, kh: int, kw: i
                  dtype=np.float32) -> ConvSpec:
     fan_in = in_c * kh * kw
     weight = rng.normal(0.0, np.sqrt(2.0 / fan_in),
-                        size=(out_c, in_c, kh, kw)).astype(dtype)
+                        size=(out_c, in_c, kh, kw)).astype(dtype, copy=False)
     b = np.zeros(out_c, dtype=dtype) if bias else None
     return ConvSpec(weight=weight, bias=b, stride=stride, padding=padding)
 

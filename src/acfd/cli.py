@@ -18,12 +18,13 @@ from pathlib import Path
 import numpy as np
 
 from . import container, model, verify
-from .augment import bilinear_resize
 from .matching import dam_match
 from .anchors import generate_anchors
-from .postprocess import (CONF_THRESHOLD, FINAL_TOP, NMS_IOU, PER_SCALE_TOP,
-                          ScaleInfo, multi_scale_sizes, pad_to_grid, postprocess)
+from .postprocess import (CONF_THRESHOLD, FINAL_TOP, GRID_MULTIPLE, NMS_IOU,
+                          PER_SCALE_TOP, ScaleInfo, multi_scale_sizes, pad_to_grid,
+                          postprocess)
 from .ppm import read_ppm
+from .tensor_ops import bilinear_resize
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -38,9 +39,27 @@ def _worker_threads() -> int:
         return 1
 
 
+# argparse types: a value they reject exits 2 with the usage line
+
 def _parse_size(text: str) -> tuple[int, int]:
     h, _, w = text.lower().partition("x")
+    if not (h.isdecimal() and w.isdecimal() and int(h) > 0 and int(w) > 0):
+        raise argparse.ArgumentTypeError(f"expected HxW of positive integers, got {text!r}")
     return int(h), int(w)
+
+
+def _grid_size(text: str) -> tuple[int, int]:
+    size = _parse_size(text)
+    if size[0] % GRID_MULTIPLE or size[1] % GRID_MULTIPLE:
+        raise argparse.ArgumentTypeError(
+            f"HxW must be multiples of {GRID_MULTIPLE}, got {text!r}")
+    return size
+
+
+def _comma_list(item):
+    def comma_list(text: str) -> list:
+        return [item(v) for v in text.split(",")]
+    return comma_list
 
 
 def _param_count(m: model.DetectorModel) -> int:
@@ -116,13 +135,11 @@ def cmd_match(args) -> int:
     except json.JSONDecodeError as exc:
         print(f"malformed JSON: {exc}", file=sys.stderr)
         return EXIT_IO
-    anchors = generate_anchors(_parse_size(args.image_size))
+    anchors = generate_anchors(args.image_size)
     preds_by_id = {p.get("file", p.get("image_id")): p["boxes"] for p in predictions}
-    t1_values = [float(v) for v in args.t1.split(",")]
-    t2_values = [float(v) for v in args.t2.split(",")]
     print(f"{'T1':>6} {'T2':>6} {'matched':>9} {'compensated':>12} {'per-face':>9}")
-    for t1 in t1_values:
-        for t2 in t2_values:
+    for t1 in args.t1:
+        for t2 in args.t2:
             n1 = n2 = faces = 0
             for entry in annotations:
                 key = entry.get("file", entry.get("image_id"))
@@ -167,11 +184,9 @@ def cmd_detect(args) -> int:
     image = pixels.astype(np.float32).transpose(2, 0, 1)[None] / 255.0 - args.mean
 
     if args.single_scale:
-        scales = [_parse_size(args.single_scale)]
-    elif args.scales:
-        scales = [_parse_size(s) for s in args.scales.split(",")]
+        scales = [args.single_scale]
     else:
-        scales = multi_scale_sizes()
+        scales = args.scales or multi_scale_sizes()
 
     threads = _worker_threads()
     if threads > 1 and len(scales) > 1:
@@ -220,8 +235,7 @@ def cmd_bench(args) -> int:
         return EXIT_IO
     fused = model.fuse_model(unfused)
     rng = np.random.default_rng(args.seed)
-    size = _parse_size(args.size)
-    probe = rng.uniform(-1.0, 1.0, size=(1, 3, *size)).astype(np.float32)
+    probe = rng.uniform(-1.0, 1.0, size=(1, 3, *args.size)).astype(np.float32)
     model.forward(fused, probe)  # warm-up both paths once
     model.forward(unfused, probe)
 
@@ -231,7 +245,7 @@ def cmd_bench(args) -> int:
         median = statistics.median(times)
         p95 = (sorted(times)[max(0, int(round(0.95 * len(times))) - 1)]
                if len(times) > 1 else None)
-        macs = model.count_model_macs(m, size)
+        macs = model.count_model_macs(m, args.size)
         rows.append((label, median, p95, macs))
     if args.csv:
         print("variant,median_ms,p95_ms,macs")
@@ -273,16 +287,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("match", help="anchor-match statistics over an annotation set")
     p.add_argument("annotations")
     p.add_argument("predictions")
-    p.add_argument("--t1", default="0.35", help="comma list sweeps a grid")
-    p.add_argument("--t2", default="0.7", help="comma list sweeps a grid")
-    p.add_argument("--image-size", default="640x640")
+    p.add_argument("--t1", type=_comma_list(float), default="0.35",
+                   help="comma list sweeps a grid")
+    p.add_argument("--t2", type=_comma_list(float), default="0.7",
+                   help="comma list sweeps a grid")
+    p.add_argument("--image-size", type=_grid_size, default="640x640")
     p.set_defaults(func=cmd_match)
 
     p = sub.add_parser("detect", help="run detection on a binary PPM image")
     p.add_argument("image")
     p.add_argument("container")
-    p.add_argument("--scales", help="comma list of HxW test sizes")
-    p.add_argument("--single-scale", help="restrict to one HxW size")
+    p.add_argument("--scales", type=_comma_list(_parse_size),
+                   help="comma list of HxW test sizes")
+    p.add_argument("--single-scale", type=_parse_size, help="restrict to one HxW size")
     p.add_argument("--conf", type=float, default=CONF_THRESHOLD)
     p.add_argument("--nms-iou", type=float, default=NMS_IOU)
     p.add_argument("--mean", type=float, default=0.5,
@@ -293,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="time unfused vs fused forward passes")
     p.add_argument("container")
     p.add_argument("--repeats", type=int, default=20)
-    p.add_argument("--size", default="256x256")
+    p.add_argument("--size", type=_grid_size, default="256x256")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--csv", action="store_true")
     p.set_defaults(func=cmd_bench)

@@ -9,6 +9,7 @@ same bytes.
 """
 from __future__ import annotations
 
+import io
 import json
 import struct
 
@@ -52,26 +53,34 @@ def save(model: DetectorModel) -> bytes:
                      header_bytes, *chunks])
 
 
-def load(blob: bytes) -> DetectorModel:
-    if blob[:len(MAGIC)] != MAGIC:
+def _read_header(fh) -> dict:
+    """Check magic, header length and format version; leaves fh at the payload."""
+    if fh.read(len(MAGIC)) != MAGIC:
         raise ContainerFormatError("bad magic; not a weight container")
-    pos = len(MAGIC)
-    if len(blob) < pos + 8:
+    raw = fh.read(8)
+    if len(raw) < 8:
         raise ContainerCorruptionError("truncated header length")
-    (header_len,) = struct.unpack_from("<Q", blob, pos)
-    pos += 8
-    if len(blob) < pos + header_len:
+    (header_len,) = struct.unpack("<Q", raw)
+    size = fh.seek(0, io.SEEK_END)
+    if size < len(MAGIC) + 8 + header_len:
         raise ContainerCorruptionError("truncated header")
+    fh.seek(len(MAGIC) + 8)
     try:
-        header = json.loads(blob[pos:pos + header_len].decode("utf-8"))
+        header = json.loads(fh.read(header_len).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ContainerCorruptionError(f"unreadable header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise ContainerCorruptionError("header is not a JSON object")
     if header.get("format_version") != FORMAT_VERSION:
         raise ContainerFormatError(
             f"unsupported format version {header.get('format_version')}")
-    payload = blob[pos + header_len:]
-    fused = bool(header["fused"])
+    return header
 
+
+def load(blob: bytes) -> DetectorModel:
+    stream = io.BytesIO(blob)
+    header = _read_header(stream)
+    payload = memoryview(blob)[stream.tell():]
     arrays: dict[str, np.ndarray] = {}
     for entry in header["entries"]:
         name, dims = entry["name"], tuple(entry["dims"])
@@ -80,16 +89,15 @@ def load(blob: bytes) -> DetectorModel:
             raise ContainerCorruptionError(f"entry {name}: dims {dims} != size {size}")
         if offset < 0 or offset + size > len(payload):
             raise ContainerCorruptionError(f"entry {name}: payload out of bounds")
-        if fused and (".bn." in name or ".square." in name
-                      or ".horizontal." in name or ".vertical." in name):
-            raise ContainerCorruptionError(
-                f"fused container carries unfused entry {name}")
         arrays[name] = np.frombuffer(
             payload, dtype="<f4", count=int(np.prod(dims)), offset=offset
         ).reshape(dims).copy()
 
     config = ModelConfig.from_dict(header["config"])
-    return model_from_arrays(config, fused, arrays)
+    try:
+        return model_from_arrays(config, bool(header["fused"]), arrays)
+    except ValueError as exc:
+        raise ContainerCorruptionError(f"entries do not match the config: {exc}") from exc
 
 
 def save_file(model: DetectorModel, path) -> None:
@@ -105,9 +113,4 @@ def load_file(path) -> DetectorModel:
 def is_fused_file(path) -> bool:
     """Peek at the fused flag without materializing the model."""
     with open(path, "rb") as fh:
-        head = fh.read(len(MAGIC) + 8)
-        if head[:len(MAGIC)] != MAGIC:
-            raise ContainerFormatError("bad magic; not a weight container")
-        (header_len,) = struct.unpack("<Q", head[len(MAGIC):])
-        header = json.loads(fh.read(header_len).decode("utf-8"))
-    return bool(header["fused"])
+        return bool(_read_header(fh)["fused"])

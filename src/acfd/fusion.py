@@ -9,7 +9,7 @@ biased convolution (W' = W*a, B' = (B - mu)*a + beta with a = gamma/sqrt(var
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -94,23 +94,6 @@ def fuse_conv_bn(conv: ConvSpec, bn: BNSpec) -> ConvSpec:
     return ConvSpec(weight=weight, bias=bias, stride=conv.stride, padding=conv.padding)
 
 
-def fuse_conv_bn_block(block: ConvBn) -> ConvBn:
-    if block.bn is None:
-        return block
-    return ConvBn(conv=fuse_conv_bn(block.conv, block.bn), bn=None)
-
-
-def _fold_branch(block: ConvBn) -> ConvSpec:
-    if block.bn is not None:
-        return fuse_conv_bn(block.conv, block.bn)
-    conv = block.conv
-    if conv.bias is None:
-        conv = ConvSpec(weight=conv.weight,
-                        bias=np.zeros(conv.out_c, dtype=conv.weight.dtype),
-                        stride=conv.stride, padding=conv.padding)
-    return conv
-
-
 def fuse_acb(spec: AcbSpec) -> ConvSpec:
     """Merge the three branches into one plain 3x3 convolution.
 
@@ -118,12 +101,40 @@ def fuse_acb(spec: AcbSpec) -> ConvSpec:
     zero-embedded into the middle row of a 3x3 kernel and the 3x1 into the
     middle column; kernels and biases then sum.
     """
-    sq, hz, vt = (_fold_branch(b) for b in (spec.square, spec.horizontal, spec.vertical))
-    weight = sq.weight.copy()
+    sq, hz, vt = (fuse_conv_bn(b.conv, b.bn)
+                  for b in (spec.square, spec.horizontal, spec.vertical))
+    weight = sq.weight
     weight[:, :, 1:2, :] += hz.weight
     weight[:, :, :, 1:2] += vt.weight
     bias = sq.bias + hz.bias + vt.bias
     return ConvSpec(weight=weight, bias=bias, stride=spec.stride, padding=(1, 1))
+
+
+def fuse_block(block: AcbSpec | ConvBn) -> ConvSpec | ConvBn:
+    """The inference form of one foldable block."""
+    if isinstance(block, AcbSpec):
+        return fuse_acb(block)
+    return ConvBn(conv=fuse_conv_bn(block.conv, block.bn))
+
+
+def fused_shapes(block: AcbSpec | ConvBn) -> ConvSpec | ConvBn:
+    """The layout ``fuse_block`` gives a built block, with nothing computed."""
+    conv = block.square.conv if isinstance(block, AcbSpec) else block.conv
+    folded = replace(conv, bias=np.empty(conv.out_c, dtype=conv.weight.dtype))
+    return folded if isinstance(block, AcbSpec) else ConvBn(conv=folded)
+
+
+def map_blocks(tree, leaf):
+    """Rebuild a model or any sub-tree of one with every ``AcbSpec`` and
+    ``ConvBn`` replaced by ``leaf(block)``; arrays and numbers carry over."""
+    if isinstance(tree, (AcbSpec, ConvBn)):
+        return leaf(tree)
+    if isinstance(tree, list):
+        return [map_blocks(node, leaf) for node in tree]
+    if is_dataclass(tree):
+        return replace(tree, **{f.name: map_blocks(getattr(tree, f.name), leaf)
+                                for f in fields(tree)})
+    return tree
 
 
 def conv_macs(spec: ConvSpec, in_hw: tuple[int, int]) -> int:

@@ -7,17 +7,16 @@ which is what the weight container serializes.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .anchors import HeadOutput, HeadSpec, build_head, head_forward
-from .backbone import (AosaSpec, BackboneConfig, BackboneSpec, Block,
-                       StageConfig, backbone_forward, build_backbone,
-                       tiny_backbone_config)
-from .fusion import (AcbSpec, ConvBn, acb_macs, conv_macs, fuse_acb,
-                     fuse_conv_bn_block)
-from .neck import BifpnLayerSpec, BifpnSpec, FuseNodeSpec, abifpn_forward, build_neck
+from .backbone import (BackboneConfig, BackboneSpec, Block, StageConfig,
+                       backbone_forward, build_backbone, tiny_backbone_config)
+from .fusion import (AcbSpec, ConvBn, acb_macs, conv_macs, fuse_block,
+                     fused_shapes, map_blocks)
+from .neck import BifpnSpec, abifpn_forward, build_neck
 from .tensor_ops import ConvSpec
 
 
@@ -68,13 +67,16 @@ class DetectorModel:
     fused: bool = False
 
 
-def build_model(config: ModelConfig, seed: int = 0, dtype=np.float32) -> DetectorModel:
-    rng = np.random.default_rng(seed)
+def _build(config: ModelConfig, rng, dtype=np.float32) -> DetectorModel:
     backbone = build_backbone(config.backbone, rng, dtype)
     neck = build_neck(config.backbone.out_channels, config.neck_width,
                       config.neck_repeats, rng, dtype)
     head = build_head(config.neck_width, config.head_tower, rng, dtype)
     return DetectorModel(config=config, backbone=backbone, neck=neck, head=head)
+
+
+def build_model(config: ModelConfig, seed: int = 0, dtype=np.float32) -> DetectorModel:
+    return _build(config, np.random.default_rng(seed), dtype)
 
 
 def forward(model: DetectorModel, image: np.ndarray) -> HeadOutput:
@@ -86,32 +88,11 @@ def forward(model: DetectorModel, image: np.ndarray) -> HeadOutput:
 # ---------------------------------------------------------------------------
 # whole-model fusion
 
-def _fuse_block(block: Block) -> ConvSpec:
-    return fuse_acb(block) if isinstance(block, AcbSpec) else block
-
-
 def fuse_model(model: DetectorModel) -> DetectorModel:
     """Collapse every ACB into a single conv and fold every conv+BN pair."""
     if model.fused:
         raise ValueError("model is already fused")
-    backbone = BackboneSpec(
-        stem=[fuse_conv_bn_block(b) for b in model.backbone.stem],
-        stages=[[AosaSpec(acbs=[_fuse_block(a) for a in blk.acbs],
-                          projection=fuse_conv_bn_block(blk.projection),
-                          ese=blk.ese, residual=blk.residual)
-                 for blk in stage]
-                for stage in model.backbone.stages])
-    neck = BifpnSpec(
-        width=model.neck.width,
-        laterals=[fuse_conv_bn_block(l) for l in model.neck.laterals],
-        layers=[BifpnLayerSpec(
-            td_nodes=[FuseNodeSpec(n.weights, _fuse_block(n.acb)) for n in layer.td_nodes],
-            bu_nodes=[FuseNodeSpec(n.weights, _fuse_block(n.acb)) for n in layer.bu_nodes])
-            for layer in model.neck.layers])
-    head = HeadSpec(tower=[_fuse_block(b) for b in model.head.tower],
-                    cls_out=model.head.cls_out, reg_out=model.head.reg_out)
-    return DetectorModel(config=model.config, backbone=backbone, neck=neck,
-                         head=head, fused=True)
+    return replace(map_blocks(model, fuse_block), fused=True)
 
 
 # ---------------------------------------------------------------------------
@@ -176,16 +157,26 @@ def named_arrays(model: DetectorModel) -> dict[str, np.ndarray]:
     return out
 
 
+class _ShapeOnlyDraws:
+    """Generator stand-in for the builders: every draw is zeros, which stay
+    untouched pages and keep the builders' arithmetic finite."""
+
+    def normal(self, loc, scale, size):
+        return np.zeros(size, dtype=np.float32)
+
+    uniform = normal
+
+
 def model_from_arrays(config: ModelConfig, fused: bool,
                       arrays: dict[str, np.ndarray]) -> DetectorModel:
-    """Rebuild a model from its flat parameter dict."""
-    model = build_model(config, seed=0)
+    """Rebuild a model from its flat parameter dict, drawing no random numbers."""
+    model = _build(config, _ShapeOnlyDraws())
     if fused:
-        model = fuse_model(model)
+        model = replace(map_blocks(model, fused_shapes), fused=True)
     expected = []
     for name, obj, attr in _walk_model(model):
         if name not in arrays:
-            raise KeyError(f"missing parameter {name}")
+            raise ValueError(f"missing parameter {name}")
         current = getattr(obj, attr)
         value = arrays[name]
         if current.shape != value.shape:

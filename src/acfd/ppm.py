@@ -1,6 +1,8 @@
 """Binary PPM (P6, maxval 255) reader/writer; no codec dependencies."""
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 
@@ -32,9 +34,11 @@ def read_ppm(path) -> np.ndarray:
         maxval = int(_read_token(fh))
         if maxval != 255:
             raise ValueError(f"{path}: only maxval 255 supported, got {maxval}")
+        if w < 1 or h < 1:
+            raise ValueError(f"{path}: bad dimensions {w}x{h}")
+        if os.fstat(fh.fileno()).st_size - fh.tell() < w * h * 3:
+            raise ValueError(f"{path}: truncated pixel data")
         data = fh.read(w * h * 3)
-    if len(data) != w * h * 3:
-        raise ValueError(f"{path}: truncated pixel data")
     return np.frombuffer(data, dtype=np.uint8).reshape(h, w, 3)
 
 

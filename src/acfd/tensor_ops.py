@@ -246,3 +246,22 @@ def concat_channels(inputs: list[np.ndarray]) -> np.ndarray:
             raise ShapeError(
                 f"concat_channels spatial/batch mismatch: {t.shape} vs {first.shape}")
     return np.concatenate(inputs, axis=1)
+
+
+def bilinear_resize(image: np.ndarray, target: tuple[int, int]) -> np.ndarray:
+    """Half-pixel-centered bilinear resample of an NCHW tensor."""
+    h, w = image.shape[2], image.shape[3]
+    th, tw = target
+    if (th, tw) == (h, w):
+        return image.copy()
+    sy = np.clip((np.arange(th) + 0.5) * h / th - 0.5, 0, h - 1)
+    sx = np.clip((np.arange(tw) + 0.5) * w / tw - 0.5, 0, w - 1)
+    y0 = np.floor(sy).astype(int)
+    x0 = np.floor(sx).astype(int)
+    y1 = np.minimum(y0 + 1, h - 1)
+    x1 = np.minimum(x0 + 1, w - 1)
+    fy = (sy - y0).astype(image.dtype)[None, None, :, None]
+    fx = (sx - x0).astype(image.dtype)[None, None, None, :]
+    top = image[:, :, y0][:, :, :, x0] * (1 - fx) + image[:, :, y0][:, :, :, x1] * fx
+    bot = image[:, :, y1][:, :, :, x0] * (1 - fx) + image[:, :, y1][:, :, :, x1] * fx
+    return top * (1 - fy) + bot * fy

@@ -5,7 +5,7 @@ from acfd.backbone import (AosaSpec, BackboneConfig, EseSpec, aosa_forward,
                            backbone_forward, build_backbone, ese_attention,
                            kaiming_conv, random_acb, random_bn,
                            tiny_backbone_config)
-from acfd.fusion import AcbSpec, ConvBn, fuse_acb, fuse_conv_bn_block
+from acfd.fusion import AcbSpec, ConvBn, fuse_block, map_blocks
 from acfd.tensor_ops import BNSpec, ConvSpec, ShapeError, concat_channels, relu
 
 
@@ -142,22 +142,10 @@ class TestBackboneForward:
                              [False], [True]]
 
 
-def _fuse_backbone(spec):
-    def fuse_block(b):
-        return fuse_acb(b) if isinstance(b, AcbSpec) else b
-    from acfd.backbone import BackboneSpec
-    return BackboneSpec(
-        stem=[fuse_conv_bn_block(b) for b in spec.stem],
-        stages=[[AosaSpec(acbs=[fuse_block(a) for a in blk.acbs],
-                          projection=fuse_conv_bn_block(blk.projection),
-                          ese=blk.ese, residual=blk.residual)
-                 for blk in stage] for stage in spec.stages])
-
-
 def test_fully_fused_backbone_drift_within_budget():
     rng = np.random.default_rng(9)
     spec = build_backbone(tiny_backbone_config(8), rng)
-    fused = _fuse_backbone(spec)
+    fused = map_blocks(spec, fuse_block)
     img = rng.uniform(-1, 1, size=(1, 3, 128, 128)).astype(np.float32)
     for a, b in zip(backbone_forward(img, spec), backbone_forward(img, fused)):
         assert np.abs(a - b).max() <= 1e-3

@@ -55,6 +55,18 @@ class TestFuse:
     def test_already_fused_is_usage_error(self, fused_container, tmp_path):
         assert main(["fuse", str(fused_container), str(tmp_path / "x.acfd")]) == 2
 
+    @pytest.mark.parametrize("blob", [
+        b"ACFD\0x",                                          # cut in the header length
+        b"ACFD\0" + (10**9).to_bytes(8, "little") + b"{}",  # header past the end
+        b"ACFD\0" + (2).to_bytes(8, "little") + b"[]",      # header not an object
+    ])
+    def test_malformed_header_is_one_line_io_error(self, blob, tmp_path, capsys):
+        bad = tmp_path / "bad.acfd"
+        bad.write_bytes(blob)
+        assert main(["fuse", str(bad), str(tmp_path / "out.acfd")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("bad container") and err.count("\n") == 1
+
 
 class TestVerify:
     def test_all_checks_pass(self, capsys):
@@ -174,6 +186,19 @@ class TestDetect:
         bad.write_bytes(b"P3\n1 1\n255\n0 0 0\n")
         assert main(["detect", str(bad), str(tiny_container)]) == 1
 
+    @pytest.mark.parametrize("data", [
+        b"P6\n99999999 99999999\n255\n",  # far more pixels than the file holds
+        b"P6\n0 4\n255\n",
+        b"P6\n2 2\n255\n" + bytes(11),    # one byte short
+    ])
+    def test_bad_ppm_size_is_one_line_io_error(self, data, tmp_path, tiny_container,
+                                               capsys):
+        bad = tmp_path / "bad.ppm"
+        bad.write_bytes(data)
+        assert main(["detect", str(bad), str(tiny_container)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("cannot decode") and err.count("\n") == 1
+
     def test_padded_scale_boxes_stay_in_source_frame(self, ppm_image,
                                                      tiny_container, tmp_path):
         out = tmp_path / "padded.jsonl"
@@ -219,6 +244,23 @@ class TestBench:
 
     def test_fused_container_rejected(self, fused_container):
         assert main(["bench", str(fused_container), "--repeats", "1"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["bench", "w.acfd", "--size", "abc"],
+    ["bench", "w.acfd", "--size", "100x100"],
+    ["bench", "w.acfd", "--size", "0x128"],
+    ["detect", "x.ppm", "w.acfd", "--single-scale", "abc"],
+    ["detect", "x.ppm", "w.acfd", "--scales", "128x128,12"],
+    ["match", "a.json", "p.json", "--image-size", "100x100"],
+    ["match", "a.json", "p.json", "--t1", "0.35,foo"],
+])
+def test_malformed_argument_is_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and "error: argument" in err.splitlines()[-1]
 
 
 def test_console_entry_point_runs():

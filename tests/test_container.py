@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import json
 import struct
 
@@ -6,8 +8,8 @@ import pytest
 
 from acfd.container import (ContainerCorruptionError, ContainerFormatError,
                             load, save)
-from acfd.model import (build_model, forward, fuse_model, named_arrays,
-                        tiny_config)
+from acfd.model import (build_model, forward, full_config, fuse_model,
+                        named_arrays, tiny_config)
 
 
 @pytest.fixture(scope="module")
@@ -125,3 +127,64 @@ class TestCorruptionHandling:
                    + new_header + blob[13 + header_len:])
         with pytest.raises(ContainerCorruptionError):
             load(rebuilt)
+
+
+# save() digests of build_model(config, seed=0), unfused then fused: a change
+# to the tree, the builders, the fold or the loader must leave these bytes alone.
+PINNED_SHA256 = {
+    "tiny": ("7e4ef82b6c5e6c13e4cbfe27e5ae38b93d097bfe5ea4cc23246e9c5d41777f9a",
+             "19004824f6b621d39a82d44cdff5b28ce09eb85fa099b65f8ce312eb9f0c98d2"),
+    "full": ("467c1fd3b6c06e0cee1f9f342f3692c272ea23bb193bf7d7df89965ed4c685de",
+             "61d3eb3375a14d3b029f3ed86e51f39b2e46feb456895ed5e99a65c2e8ed8e9b"),
+}
+
+
+def _sha256(blob: bytes) -> str:
+    return hashlib.sha256(blob).hexdigest()
+
+
+def _reachable_arrays(node):
+    if isinstance(node, np.ndarray):
+        yield node
+    elif isinstance(node, list):
+        for child in node:
+            yield from _reachable_arrays(child)
+    elif dataclasses.is_dataclass(node):
+        for f in dataclasses.fields(node):
+            yield from _reachable_arrays(getattr(node, f.name))
+
+
+class TestLoadContracts:
+    @pytest.mark.parametrize("name, config", [("tiny", tiny_config()),
+                                              ("full", full_config())])
+    def test_seeded_bytes_pinned_and_roundtrip(self, name, config):
+        # one model or blob alive at a time: the full config is 166 MB unfused
+        model = build_model(config, seed=0)
+        for digest in PINNED_SHA256[name]:
+            blob = save(model)
+            del model
+            assert _sha256(blob) == digest
+            model = load(blob)
+            del blob
+            assert _sha256(save(model)) == digest
+            if not model.fused:
+                model = fuse_model(model)
+
+    @pytest.mark.parametrize("fused", [False, True])
+    def test_no_unfilled_array_survives(self, tiny_model, fused):
+        source = fuse_model(tiny_model) if fused else tiny_model
+        restored = load(save(source))
+        entries = named_arrays(restored)
+        entry_ids = {id(a) for a in entries.values()}
+        assert all(id(a) in entry_ids for a in _reachable_arrays(restored))
+        for name, expected in named_arrays(source).items():
+            np.testing.assert_array_equal(entries[name], expected)
+
+    @pytest.mark.parametrize("fused", [False, True])
+    def test_load_draws_no_random_numbers(self, tiny_model, fused, monkeypatch):
+        blob = save(fuse_model(tiny_model) if fused else tiny_model)
+
+        def no_rng(*args, **kwargs):
+            raise AssertionError("container.load drew random numbers")
+        monkeypatch.setattr(np.random, "default_rng", no_rng)
+        assert load(blob).fused is fused

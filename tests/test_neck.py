@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from acfd.backbone import build_backbone, backbone_forward, tiny_backbone_config
-from acfd.fusion import AcbSpec, ConvBn, fuse_acb, fuse_conv_bn_block
-from acfd.neck import (BifpnLayerSpec, BifpnSpec, FuseNodeSpec, abifpn_forward,
-                       bifpn_layer_forward, build_neck, fuse_node,
-                       normalized_fusion_weights)
+from acfd.fusion import AcbSpec, ConvBn, fuse_block, map_blocks
+from acfd.neck import (BifpnSpec, abifpn_forward, bifpn_layer_forward, build_neck,
+                       fuse_node, normalized_fusion_weights)
 from acfd.tensor_ops import BNSpec, ConvSpec, ShapeError
 
 
@@ -122,17 +121,7 @@ class TestAbifpnForward:
     def test_fused_neck_drift_within_budget(self):
         rng = np.random.default_rng(9)
         neck = build_neck((8,) * 6, width=8, repeats=1, rng=rng)
-        def fuse_block(b):
-            return fuse_acb(b) if isinstance(b, AcbSpec) else b
-        fused = BifpnSpec(
-            width=8,
-            laterals=[fuse_conv_bn_block(l) for l in neck.laterals],
-            layers=[BifpnLayerSpec(
-                td_nodes=[FuseNodeSpec(n.weights, fuse_block(n.acb))
-                          for n in layer.td_nodes],
-                bu_nodes=[FuseNodeSpec(n.weights, fuse_block(n.acb))
-                          for n in layer.bu_nodes])
-                for layer in neck.layers])
+        fused = map_blocks(neck, fuse_block)
         pyramid = tiny_pyramid(np.random.default_rng(10))
         for a, b in zip(abifpn_forward(pyramid, neck), abifpn_forward(pyramid, fused)):
             assert np.abs(a - b).max() <= 1e-3
