@@ -3,7 +3,8 @@
 Layout: 5-byte magic ``ACFD\\0``, an 8-byte little-endian header length, the
 UTF-8 JSON header, then the payload blob. The header carries the format
 version, the fused flag, the structural config, and one entry per parameter
-with dims and byte offset into the payload. Entry order and canonical JSON
+with dims and byte offset into the payload; the entries tile the payload in
+order, with no gap, overlap or trailing byte. Entry order and canonical JSON
 make the byte layout deterministic: the same model always serializes to the
 same bytes.
 """
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import struct
 
 import numpy as np
@@ -74,7 +76,30 @@ def _read_header(fh) -> dict:
     if header.get("format_version") != FORMAT_VERSION:
         raise ContainerFormatError(
             f"unsupported format version {header.get('format_version')}")
+    for key, kind in (("entries", list), ("config", dict), ("fused", bool)):
+        if not isinstance(header.get(key), kind):
+            raise ContainerCorruptionError(f"header field {key!r} is not a {kind.__name__}")
     return header
+
+
+def _is_count(value) -> bool:
+    return type(value) is int and value >= 0
+
+
+def _check_entry(entry, offset: int) -> None:
+    """Field types, dims against size, and the offset the previous entry ended at."""
+    if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+            and isinstance(entry.get("dims"), list)
+            and all(_is_count(d) for d in entry["dims"])
+            and _is_count(entry.get("offset")) and _is_count(entry.get("size"))):
+        raise ContainerCorruptionError(f"malformed entry {str(entry)[:80]}")
+    name, dims, size = entry["name"], entry["dims"], entry["size"]
+    if math.prod(dims) * 4 != size:
+        raise ContainerCorruptionError(f"entry {name}: dims {dims} != size {size}")
+    if entry["offset"] != offset:
+        raise ContainerCorruptionError(
+            f"entry {name}: offset {entry['offset']} != {offset}; "
+            "entries must tile the payload in order")
 
 
 def load(blob: bytes) -> DetectorModel:
@@ -82,21 +107,29 @@ def load(blob: bytes) -> DetectorModel:
     header = _read_header(stream)
     payload = memoryview(blob)[stream.tell():]
     arrays: dict[str, np.ndarray] = {}
+    offset = 0
     for entry in header["entries"]:
-        name, dims = entry["name"], tuple(entry["dims"])
-        offset, size = entry["offset"], entry["size"]
-        if int(np.prod(dims)) * 4 != size:
-            raise ContainerCorruptionError(f"entry {name}: dims {dims} != size {size}")
-        if offset < 0 or offset + size > len(payload):
+        _check_entry(entry, offset)
+        name, size = entry["name"], entry["size"]
+        if name in arrays:
+            raise ContainerCorruptionError(f"entry {name} is listed twice")
+        if offset + size > len(payload):
             raise ContainerCorruptionError(f"entry {name}: payload out of bounds")
         arrays[name] = np.frombuffer(
-            payload, dtype="<f4", count=int(np.prod(dims)), offset=offset
-        ).reshape(dims).copy()
+            payload, dtype="<f4", count=size // 4, offset=offset
+        ).reshape(entry["dims"]).copy()
+        offset += size
+    if offset != len(payload):
+        raise ContainerCorruptionError(
+            f"payload has {len(payload) - offset} bytes past the last entry")
 
-    config = ModelConfig.from_dict(header["config"])
     try:
-        return model_from_arrays(config, bool(header["fused"]), arrays)
-    except ValueError as exc:
+        config = ModelConfig.from_dict(header["config"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ContainerCorruptionError(f"bad config: {exc!r}") from exc
+    try:
+        return model_from_arrays(config, header["fused"], arrays)
+    except (TypeError, ValueError) as exc:
         raise ContainerCorruptionError(f"entries do not match the config: {exc}") from exc
 
 
@@ -113,4 +146,4 @@ def load_file(path) -> DetectorModel:
 def is_fused_file(path) -> bool:
     """Peek at the fused flag without materializing the model."""
     with open(path, "rb") as fh:
-        return bool(_read_header(fh)["fused"])
+        return _read_header(fh)["fused"]

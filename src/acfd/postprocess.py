@@ -2,8 +2,8 @@
 
 Per test scale: sigmoid the logits, drop scores at or below the confidence
 floor, keep the top 1000, decode boxes and map them back into the original
-image frame. The merged pool then runs greedy NMS at IoU 0.55 and the 100
-highest-confidence detections survive.
+image frame. The merged pool then runs greedy NMS at IoU 0.55, which stops
+at the 100th kept detection.
 """
 from __future__ import annotations
 
@@ -56,21 +56,29 @@ def pad_to_grid(hw: tuple[int, int]) -> tuple[int, int]:
     return pad(h), pad(w)
 
 
-def nms(dets: list[Detection], iou_thresh: float = NMS_IOU) -> list[Detection]:
-    """Greedy score-descending suppression, stable tie-break by input index."""
+def nms(dets: list[Detection], iou_thresh: float = NMS_IOU,
+        top: int | None = None) -> list[Detection]:
+    """Greedy score-descending suppression, stable tie-break by input index.
+
+    Each box is decided by higher-scored boxes only, so stopping after ``top``
+    keeps gives the first ``top`` of the full result. IoU is computed one
+    kept box's row at a time; the N x N matrix is never built.
+    """
+    limit = len(dets) if top is None else max(top, 0)
     if len(dets) <= 1:
-        return list(dets)
+        return list(dets[:limit])
     boxes = np.stack([d.box for d in dets]).astype(np.float64)
     scores = np.array([d.score for d in dets], dtype=np.float64)
     order = np.argsort(-scores, kind="stable")
-    ious = iou_matrix(boxes, boxes)
     keep = []
     alive = np.ones(len(dets), dtype=bool)
     for i in order:
+        if len(keep) == limit:
+            break
         if not alive[i]:
             continue
         keep.append(i)
-        alive &= ious[i] <= iou_thresh
+        alive &= iou_matrix(boxes[i:i + 1], boxes)[0] <= iou_thresh
         alive[i] = False
     return [dets[i] for i in keep]
 
@@ -106,7 +114,7 @@ def postprocess(per_scale_outputs: list[tuple[HeadOutput, ScaleInfo]],
     merged: list[Detection] = []
     for output, info in per_scale_outputs:
         merged.extend(_per_scale_detections(output, info, conf, per_scale_top))
-    return nms(merged, nms_iou)[:final_top]
+    return nms(merged, nms_iou, final_top)
 
 
 def evaluate_ap(gts: list[np.ndarray], dets: list[list[Detection]],

@@ -2,8 +2,9 @@
 
 Every operation works on contiguous numpy arrays in (batch, channel, height,
 width) layout, float32 by default, and preserves the input dtype so the same
-code path serves the float64 verification mode. ``conv2d_direct`` is the
-plain-loop reference against which the im2col fast path is checked.
+code path serves the float64 verification mode. ``conv2d_direct`` and
+``max_pool2d_direct`` are the plain-loop references against which the im2col
+conv and the separable max pool are checked.
 """
 from __future__ import annotations
 
@@ -189,22 +190,72 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _pool_fill(dtype) -> float | int:
+    """Padding value that never wins a maximum."""
+    return -np.inf if np.issubdtype(dtype, np.floating) else np.iinfo(dtype).min
+
+
+def _pool_dims(x: np.ndarray, kernel, stride, padding) -> tuple[int, int]:
+    check_tensor4(x)
+    oh = conv_output_shape(x.shape[2], kernel[0], stride[0], padding[0])
+    ow = conv_output_shape(x.shape[3], kernel[1], stride[1], padding[1])
+    if oh < 1 or ow < 1:
+        raise ShapeError(f"non-positive pool output {oh}x{ow} for input {x.shape}")
+    return oh, ow
+
+
 def max_pool2d(x: np.ndarray, kernel: tuple[int, int], stride: tuple[int, int],
                padding: tuple[int, int] = (0, 0)) -> np.ndarray:
-    """Windowed maximum; padding cells are -inf so they never win."""
-    check_tensor4(x)
+    """Windowed maximum; padding cells are -inf so they never win.
+
+    Separable: the maximum over the kh strided row slices, then over the kw
+    strided column slices of that. Max is exact and np.maximum propagates
+    NaN, so this equals the per-window maximum.
+    """
+    oh, ow = _pool_dims(x, kernel, stride, padding)
     kh, kw = kernel
     sh, sw = stride
     ph, pw = padding
-    oh = conv_output_shape(x.shape[2], kh, sh, ph)
-    ow = conv_output_shape(x.shape[3], kw, sw, pw)
-    if oh < 1 or ow < 1:
-        raise ShapeError(f"non-positive pool output {oh}x{ow} for input {x.shape}")
     if ph or pw:
-        fill = -np.inf if np.issubdtype(x.dtype, np.floating) else np.iinfo(x.dtype).min
-        x = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)), constant_values=fill)
-    windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
-    return np.ascontiguousarray(windows[:, :, ::sh, ::sw].max(axis=(4, 5)))
+        x = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)),
+                   constant_values=_pool_fill(x.dtype))
+    rows = x[:, :, :sh * oh:sh].copy()
+    for i in range(1, kh):
+        np.maximum(rows, x[:, :, i:i + sh * oh:sh], out=rows)
+    out = rows[:, :, :, :sw * ow:sw].copy()
+    for j in range(1, kw):
+        np.maximum(out, rows[:, :, :, j:j + sw * ow:sw], out=out)
+    return out
+
+
+def max_pool2d_direct(x: np.ndarray, kernel: tuple[int, int], stride: tuple[int, int],
+                      padding: tuple[int, int] = (0, 0)) -> np.ndarray:
+    """Reference max pool: one scalar scan per output window.
+
+    Deliberately naive (shares no slicing or reduction with max_pool2d);
+    a NaN in the window wins, cells outside the input are skipped, and a
+    window that lies wholly in the padding gives the padding value. Only
+    suitable for small tensors.
+    """
+    oh, ow = _pool_dims(x, kernel, stride, padding)
+    n, c, h, w = x.shape
+    kh, kw = kernel
+    sh, sw = stride
+    ph, pw = padding
+    out = np.empty((n, c, oh, ow), dtype=x.dtype)
+    for b in range(n):
+        for ch in range(c):
+            for i in range(oh):
+                for j in range(ow):
+                    best = _pool_fill(x.dtype)
+                    for r in range(i * sh - ph, i * sh - ph + kh):
+                        for q in range(j * sw - pw, j * sw - pw + kw):
+                            if 0 <= r < h and 0 <= q < w and best == best:
+                                v = x[b, ch, r, q]
+                                if v != v or v > best:
+                                    best = v
+                    out[b, ch, i, j] = best
+    return out
 
 
 def global_avg_pool(x: np.ndarray) -> np.ndarray:

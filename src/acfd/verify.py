@@ -179,7 +179,11 @@ def check_nms_oracle(rng: np.random.Generator, trials: int = 30) -> CheckResult:
         got_idx = [idx_of[id(d)] for d in got]
         if got_idx != ref:
             return CheckResult("nms-oracle", False, f"kept {got_idx} vs {ref}")
-    return CheckResult("nms-oracle", True, f"{trials} random sets agree")
+        top = len(ref) // 2  # greedy suppression cut at the top-th keep
+        cut_idx = [idx_of[id(d)] for d in postprocess.nms(dets, 0.55, top)]
+        if cut_idx != ref[:top]:
+            return CheckResult("nms-oracle", False, f"top {top}: kept {cut_idx} vs {ref[:top]}")
+    return CheckResult("nms-oracle", True, f"{trials} random sets agree, uncut and cut")
 
 
 def check_loss_gradients(rng: np.random.Generator, points: int = 200,

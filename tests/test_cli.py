@@ -1,4 +1,6 @@
+import hashlib
 import json
+import struct
 import subprocess
 import sys
 
@@ -11,6 +13,15 @@ from acfd.cli import main
 from acfd.matching import dam_match
 from acfd.model import build_model, fuse_model, tiny_config
 from acfd.ppm import write_ppm
+
+
+# `acfd detect` JSONL of the ppm_image fixture through the fused tiny container
+# at the three default scales
+GOLDEN_DETECT_SHA256 = "de8b3eb3c76f84b5be49de838feb54ca210e58edc39312b1665d40bf4a7057ed"
+
+
+def _without(d: dict, key: str) -> dict:
+    return {k: v for k, v in d.items() if k != key}
 
 
 @pytest.fixture(scope="module")
@@ -198,6 +209,36 @@ class TestDetect:
         assert main(["detect", str(bad), str(tiny_container)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("cannot decode") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("edit", [
+        lambda h: {"format_version": 1},
+        lambda h: _without(h, "config"),
+        lambda h: {**h, "fused": "yes"},
+        lambda h: {**h, "config": _without(h["config"], "neck_width")},
+        lambda h: {**h, "entries": [_without(h["entries"][0], "dims"), *h["entries"][1:]]},
+        lambda h: {**h, "entries": [{**h["entries"][0], "offset": "0"}, *h["entries"][1:]]},
+    ], ids=["version-only", "no-config", "fused-string", "config-key-missing",
+            "entry-no-dims", "entry-offset-string"])
+    def test_bad_container_header_is_one_line_io_error(self, edit, ppm_image,
+                                                       fused_container, tmp_path,
+                                                       capsys):
+        blob = fused_container.read_bytes()
+        (header_len,) = struct.unpack_from("<Q", blob, 5)
+        raw = json.dumps(edit(json.loads(blob[13:13 + header_len]))).encode()
+        bad = tmp_path / "bad.acfd"
+        bad.write_bytes(blob[:5] + struct.pack("<Q", len(raw)) + raw + blob[13 + header_len:])
+        assert main(["detect", str(ppm_image), str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("cannot read") and err.count("\n") == 1
+
+    def test_default_scales_output_is_pinned(self, ppm_image, fused_container, tmp_path):
+        # 3000 candidates, 1772 of them survive full NMS; the digest was recorded
+        # with the full-matrix NMS and the window-view max pool
+        out = tmp_path / "golden.jsonl"
+        assert main(["detect", str(ppm_image), str(fused_container),
+                     "--out", str(out)]) == 0
+        assert out.read_text().count("\n") == 100
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_DETECT_SHA256
 
     def test_padded_scale_boxes_stay_in_source_frame(self, ppm_image,
                                                      tiny_container, tmp_path):

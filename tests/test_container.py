@@ -129,6 +129,51 @@ class TestCorruptionHandling:
             load(rebuilt)
 
 
+def _with_entries(blob: bytes, edit) -> bytes:
+    """The blob with its entry list passed through edit, plus the bytes edit returns."""
+    (header_len,) = struct.unpack_from("<Q", blob, 5)
+    header = json.loads(blob[13:13 + header_len])
+    tail = edit(header["entries"]) or b""
+    new_header = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    return (blob[:5] + struct.pack("<Q", len(new_header)) + new_header
+            + blob[13 + header_len:] + tail)
+
+
+def _trailing_bytes(entries):
+    return bytes(8)
+
+
+def _overlap(entries):
+    entries[1]["offset"] -= 4
+
+
+def _gap(entries):
+    entries[-1]["offset"] += 4
+    return bytes(4)
+
+
+def _out_of_order(entries):
+    entries.reverse()
+
+
+def _listed_twice(entries):
+    last = entries[-1]
+    entries.append(dict(last, offset=last["offset"] + last["size"]))
+    return bytes(last["size"])
+
+
+class TestEntriesTileThePayload:
+    def test_unedited_rebuild_loads(self, tiny_model):
+        blob = save(tiny_model)
+        assert save(load(_with_entries(blob, lambda entries: None))) == blob
+
+    @pytest.mark.parametrize("edit", [_trailing_bytes, _overlap, _gap, _out_of_order,
+                                      _listed_twice])
+    def test_rejected(self, tiny_model, edit):
+        with pytest.raises(ContainerCorruptionError):
+            load(_with_entries(save(tiny_model), edit))
+
+
 # save() digests of build_model(config, seed=0), unfused then fused: a change
 # to the tree, the builders, the fold or the loader must leave these bytes alone.
 PINNED_SHA256 = {

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,7 @@ class TestNms:
     def test_single_detection(self):
         d = det(0, 0, 10, 10, 0.5)
         assert nms([d], 0.55) == [d]
+        assert nms([d], 0.55, 0) == []
 
     def test_identical_boxes_keep_highest(self):
         a = det(0, 0, 10, 10, 0.9)
@@ -59,6 +62,24 @@ class TestNms:
         got = nms(dets, 0.55)
         ref = nms_reference(boxes, scores, 0.55)
         assert [dets.index(d) for d in got] == ref
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_cut_is_a_prefix_of_the_full_result(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        n = int(rng.integers(20, 150))
+        xy = rng.uniform(0, 80, size=(n, 2))
+        wh = rng.uniform(2, 40, size=(n, 2))
+        boxes = np.concatenate([xy, xy + wh], axis=1)
+        scores = rng.uniform(0, 1, size=n)
+        dets = [det(*b, s) for b, s in zip(boxes, scores)]
+        full = nms(dets, 0.55)
+        ref = nms_reference(boxes, scores, 0.55)
+        assert [dets.index(d) for d in full] == ref
+        for k in (0, 1, 7, n, n + 5):
+            got = nms(dets, 0.55, k)
+            assert got == full[:k]
+            assert [dets.index(d) for d in got] == ref[:k]
+        assert nms(dets, 0.55, -3) == []
 
     def test_output_is_suppression_free(self):
         rng = np.random.default_rng(11)
@@ -116,6 +137,31 @@ class TestPostprocess:
         assert scores == sorted(scores, reverse=True)
         worst_kept = float(sigmoid(np.array([3.0 - 0.01 * 99]))[0])
         assert scores[-1] == pytest.approx(worst_kept, abs=1e-6)
+
+    def test_final_top_zero_is_empty(self):
+        output = blank_output()
+        output.cls[2][0, 0, 2, 3] = 2.0
+        assert postprocess([(output, identity_info((128, 128)))], final_top=0) == []
+
+    def test_peak_memory_over_3000_candidates(self):
+        # an N x N float64 IoU matrix over these candidates peaks at about 350 MB
+        rng = np.random.default_rng(5)
+        dims = [(512 // s, 512 // s) for s in (4, 8, 16, 32, 64, 128)]
+        per_scale = []
+        for _ in range(3):
+            output = blank_output(dims)
+            for cls, reg in zip(output.cls, output.reg):
+                cls[...] = rng.normal(size=cls.shape)
+                reg[...] = rng.normal(scale=0.1, size=reg.shape)
+            per_scale.append((output, identity_info((512, 512))))
+        tracemalloc.start()
+        try:
+            dets = postprocess(per_scale)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(dets) == 100
+        assert peak < 16 * 2**20
 
     def test_per_scale_top_1000_cap(self):
         output = blank_output(dims=[(64, 64), (32, 32), (16, 16), (8, 8),

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,8 @@ from hypothesis import strategies as st
 from acfd.tensor_ops import (BNSpec, ConvSpec, ShapeError, batch_norm_infer,
                              concat_channels, conv2d, conv2d_direct,
                              conv_output_shape, global_avg_pool, linear,
-                             max_pool2d, relu, resize_nearest, sigmoid)
+                             max_pool2d, max_pool2d_direct, relu, resize_nearest,
+                             sigmoid)
 
 
 def make_conv(weight, bias=None, stride=(1, 1), padding=(0, 0)):
@@ -161,6 +164,28 @@ class TestPooling:
     def test_max_pool_table_row(self):
         x = np.zeros((1, 256, 160, 160), dtype=np.float32)
         assert max_pool2d(x, (3, 3), (2, 2), (1, 1)).shape == (1, 256, 80, 80)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int32])
+    def test_max_pool_matches_loop_reference(self, dtype):
+        rng = np.random.default_rng(17)
+        for (h, w), k, s, p in itertools.product([(5, 6), (6, 7)], range(1, 4),
+                                                 range(1, 4), range(0, 4)):
+            # the second axis takes other values, so kernel, stride and pad differ per axis
+            kernel, stride, pad = (k, k % 3 + 1), (s, (s + 1) % 3 + 1), (p, (p + 2) % 4)
+            x = (rng.normal(size=(2, 3, h, w)) * 100).astype(dtype)
+            got = max_pool2d(x, kernel, stride, pad)
+            assert got.dtype == x.dtype and got.flags.c_contiguous
+            np.testing.assert_array_equal(got, max_pool2d_direct(x, kernel, stride, pad))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_max_pool_nan_in_window_wins(self, dtype):
+        x = np.arange(49, dtype=dtype).reshape(1, 1, 7, 7)
+        x[0, 0, 3, 2] = np.nan
+        got = max_pool2d(x, (3, 3), (2, 2), (1, 1))
+        np.testing.assert_array_equal(got, max_pool2d_direct(x, (3, 3), (2, 2), (1, 1)))
+        # only output rows 1-2 of column 1 have input (3, 2) in their window
+        assert np.isnan(got[0, 0, 1:3, 1]).all()
+        assert np.isnan(got).sum() == 2
 
     def test_global_avg_pool(self):
         x = np.array([[[[1.0, 2.0], [3.0, 4.0]]]], dtype=np.float32)
