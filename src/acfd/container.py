@@ -13,6 +13,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import os
 import struct
 
 import numpy as np
@@ -102,10 +103,8 @@ def _check_entry(entry, offset: int) -> None:
             "entries must tile the payload in order")
 
 
-def load(blob: bytes) -> DetectorModel:
-    stream = io.BytesIO(blob)
-    header = _read_header(stream)
-    payload = memoryview(blob)[stream.tell():]
+def _from_payload(header: dict, payload: np.ndarray) -> DetectorModel:
+    """The model over float32 views of one buffer; 4-byte entry sizes keep them aligned."""
     arrays: dict[str, np.ndarray] = {}
     offset = 0
     for entry in header["entries"]:
@@ -115,9 +114,7 @@ def load(blob: bytes) -> DetectorModel:
             raise ContainerCorruptionError(f"entry {name} is listed twice")
         if offset + size > len(payload):
             raise ContainerCorruptionError(f"entry {name}: payload out of bounds")
-        arrays[name] = np.frombuffer(
-            payload, dtype="<f4", count=size // 4, offset=offset
-        ).reshape(entry["dims"]).copy()
+        arrays[name] = payload[offset:offset + size].view("<f4").reshape(entry["dims"])
         offset += size
     if offset != len(payload):
         raise ContainerCorruptionError(
@@ -133,6 +130,13 @@ def load(blob: bytes) -> DetectorModel:
         raise ContainerCorruptionError(f"entries do not match the config: {exc}") from exc
 
 
+def load(blob: bytes) -> DetectorModel:
+    stream = io.BytesIO(blob)
+    header = _read_header(stream)
+    payload = np.frombuffer(blob, np.uint8, offset=stream.tell()).copy()
+    return _from_payload(header, payload)
+
+
 def save_file(model: DetectorModel, path) -> None:
     with open(path, "wb") as fh:
         fh.write(save(model))
@@ -140,7 +144,11 @@ def save_file(model: DetectorModel, path) -> None:
 
 def load_file(path) -> DetectorModel:
     with open(path, "rb") as fh:
-        return load(fh.read())
+        header = _read_header(fh)
+        payload = np.empty(os.fstat(fh.fileno()).st_size - fh.tell(), np.uint8)
+        if fh.readinto(payload) != len(payload):
+            raise ContainerCorruptionError("payload changed while reading")
+    return _from_payload(header, payload)
 
 
 def is_fused_file(path) -> bool:

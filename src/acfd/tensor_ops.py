@@ -116,28 +116,34 @@ def _check_conv_dims(x: np.ndarray, spec: ConvSpec) -> tuple[int, int]:
 
 
 def conv2d(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
-    """2-D cross-correlation with zero padding (im2col + GEMM path)."""
+    """2-D cross-correlation with zero padding (im2col + GEMM path).
+
+    Columns are channel-major, so kernel @ cols writes (c, n, h, w): NCHW when n == 1.
+    """
     oh, ow = _check_conv_dims(x, spec)
-    n, c, h, w = x.shape
+    n, c = x.shape[:2]
     kh, kw = spec.kh, spec.kw
     sh, sw = spec.stride
     ph, pw = spec.padding
 
     if ph or pw:
         x = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    if kh == 1 and kw == 1:
-        # 1x1 kernels skip the window expansion entirely
-        cols = x[:, :, ::sh, ::sw].transpose(0, 2, 3, 1).reshape(n * oh * ow, c)
+    xc = x.transpose(1, 0, 2, 3)
+    if (kh, kw, sh, sw) == (1, 1, 1, 1):
+        # the input itself is the column matrix (a view when n == 1)
+        cols = xc.reshape(c, n * oh * ow)
     else:
-        windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
-        windows = windows[:, :, ::sh, ::sw]
-        cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * oh * ow, c * kh * kw)
-    kernel = spec.weight.reshape(spec.out_c, -1)
-    out = cols @ kernel.T
+        # one strided slab copy per kernel tap, whole rows at a time
+        cols = np.empty((c, kh, kw, n, oh, ow), dtype=x.dtype)
+        for i in range(kh):
+            for j in range(kw):
+                cols[:, i, j] = xc[:, :, i:i + sh * oh:sh, j:j + sw * ow:sw]
+        cols = cols.reshape(c * kh * kw, n * oh * ow)
+    out = spec.weight.reshape(spec.out_c, -1) @ cols
     if spec.bias is not None:
-        out += spec.bias
+        out += spec.bias[:, None]
     return np.ascontiguousarray(
-        out.reshape(n, oh, ow, spec.out_c).transpose(0, 3, 1, 2))
+        out.reshape(spec.out_c, n, oh, ow).transpose(1, 0, 2, 3))
 
 
 def conv2d_direct(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
@@ -311,8 +317,14 @@ def bilinear_resize(image: np.ndarray, target: tuple[int, int]) -> np.ndarray:
     x0 = np.floor(sx).astype(int)
     y1 = np.minimum(y0 + 1, h - 1)
     x1 = np.minimum(x0 + 1, w - 1)
-    fy = (sy - y0).astype(image.dtype)[None, None, :, None]
-    fx = (sx - x0).astype(image.dtype)[None, None, None, :]
-    top = image[:, :, y0][:, :, :, x0] * (1 - fx) + image[:, :, y0][:, :, :, x1] * fx
-    bot = image[:, :, y1][:, :, :, x0] * (1 - fx) + image[:, :, y1][:, :, :, x1] * fx
-    return top * (1 - fy) + bot * fy
+    fy = (sy - y0).astype(image.dtype)[:, None]
+    fx = (sx - x0).astype(image.dtype)
+    # lerp each source row along x once, then lerp rows y0 and y1 of that;
+    # every output pixel gets the same products and sums as the 2-D gather
+    rows = np.take(image, x0, axis=3)
+    rows *= 1 - fx
+    rows += np.take(image, x1, axis=3) * fx
+    out = rows[:, :, y0]
+    out *= 1 - fy
+    out += rows[:, :, y1] * fy
+    return out

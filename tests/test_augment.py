@@ -3,6 +3,7 @@ import pytest
 
 from acfd.augment import (Sample, bilinear_resize, color_jitter, expand,
                           random_crop, resize_to_train, tile_to_anchor_scale)
+from acfd.postprocess import multi_scale_sizes
 
 
 def make_sample(h=100, w=100, boxes=None, seed=7):
@@ -133,6 +134,34 @@ class TestBilinearResize:
         img = np.array([[[[0.0, 1.0]]]], dtype=np.float32)
         out = bilinear_resize(img, (1, 4))
         np.testing.assert_allclose(out[0, 0, 0], [0.0, 0.25, 0.75, 1.0], atol=1e-6)
+
+    @pytest.mark.parametrize("shape, target, dtype", [
+        *[((1, 3, 96, 128), scale, np.float32) for scale in multi_scale_sizes()],
+        ((1, 3, 180, 240), (97, 131), np.float32),
+        ((2, 3, 13, 17), (31, 7), np.float32),
+        ((1, 2, 1, 9), (5, 4), np.float32),
+        ((2, 3, 13, 17), (29, 41), np.float64),
+    ])
+    def test_bit_identical_to_the_2d_gather(self, shape, target, dtype):
+        image = np.random.default_rng(5).uniform(0, 1, shape).astype(dtype)
+        out = bilinear_resize(image, target)
+        assert out.dtype == dtype
+        assert out.tobytes() == _bilinear_reference(image, target).tobytes()
+
+
+def _bilinear_reference(image, target):
+    """Every output pixel gathered from its four source pixels at once."""
+    h, w = image.shape[2], image.shape[3]
+    th, tw = target
+    sy = np.clip((np.arange(th) + 0.5) * h / th - 0.5, 0, h - 1)
+    sx = np.clip((np.arange(tw) + 0.5) * w / tw - 0.5, 0, w - 1)
+    y0, x0 = np.floor(sy).astype(int), np.floor(sx).astype(int)
+    y1, x1 = np.minimum(y0 + 1, h - 1), np.minimum(x0 + 1, w - 1)
+    fy = (sy - y0).astype(image.dtype)[None, None, :, None]
+    fx = (sx - x0).astype(image.dtype)[None, None, None, :]
+    top = image[:, :, y0][:, :, :, x0] * (1 - fx) + image[:, :, y0][:, :, :, x1] * fx
+    bot = image[:, :, y1][:, :, :, x0] * (1 - fx) + image[:, :, y1][:, :, :, x1] * fx
+    return top * (1 - fy) + bot * fy
 
 
 class TestDeterminismAndChaining:

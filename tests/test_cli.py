@@ -3,6 +3,7 @@ import json
 import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +18,11 @@ from acfd.ppm import write_ppm
 
 # `acfd detect` JSONL of the ppm_image fixture through the fused tiny container
 # at the three default scales
-GOLDEN_DETECT_SHA256 = "de8b3eb3c76f84b5be49de838feb54ca210e58edc39312b1665d40bf4a7057ed"
+GOLDEN_DETECT_SHA256 = "04582e9a06a7e659ddea09799c55cfc1f32b50eb1f743b2dfdae9085e34d1665"
+# the same output when conv2d multiplied row-major columns by the transposed
+# kernel (cols @ kernel.T); BLAS rounds that operand order differently
+ROW_MAJOR_GEMM_DETECT = (Path(__file__).parent / "data"
+                         / "detect_default_scales_row_major_gemm.jsonl")
 
 
 def _without(d: dict, key: str) -> dict:
@@ -233,12 +238,25 @@ class TestDetect:
 
     def test_default_scales_output_is_pinned(self, ppm_image, fused_container, tmp_path):
         # 3000 candidates, 1772 of them survive full NMS; the digest was recorded
-        # with the full-matrix NMS and the window-view max pool
+        # with the channel-major conv columns (kernel @ cols)
         out = tmp_path / "golden.jsonl"
         assert main(["detect", str(ppm_image), str(fused_container),
                      "--out", str(out)]) == 0
         assert out.read_text().count("\n") == 100
         assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_DETECT_SHA256
+
+    def test_default_scales_output_matches_row_major_gemm(self, ppm_image,
+                                                          fused_container, tmp_path):
+        out = tmp_path / "golden.jsonl"
+        assert main(["detect", str(ppm_image), str(fused_container),
+                     "--out", str(out)]) == 0
+        lines = [json.loads(l) for l in out.read_text().splitlines()]
+        before = [json.loads(l) for l in ROW_MAJOR_GEMM_DETECT.read_text().splitlines()]
+        assert len(lines) == len(before) == 100
+        for now, then in zip(lines, before):
+            assert now.keys() == then.keys() and now["image_id"] == then["image_id"]
+            for key in ("x1", "y1", "x2", "y2", "score"):
+                assert abs(now[key] - then[key]) <= 1e-3, (key, now, then)
 
     def test_padded_scale_boxes_stay_in_source_frame(self, ppm_image,
                                                      tiny_container, tmp_path):

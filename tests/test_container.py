@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from acfd.container import (ContainerCorruptionError, ContainerFormatError,
-                            load, save)
+                            load, load_file, save, save_file)
 from acfd.model import (build_model, forward, full_config, fuse_model,
                         named_arrays, tiny_config)
 
@@ -233,3 +233,28 @@ class TestLoadContracts:
             raise AssertionError("container.load drew random numbers")
         monkeypatch.setattr(np.random, "default_rng", no_rng)
         assert load(blob).fused is fused
+
+
+def _owner(arr: np.ndarray) -> np.ndarray:
+    while arr.base is not None:
+        arr = arr.base
+    return arr
+
+
+class TestOneAlignedPayload:
+    @pytest.mark.parametrize("fused", [False, True])
+    def test_entries_are_aligned_views_of_one_buffer(self, tiny_model, fused, tmp_path):
+        source = fuse_model(tiny_model) if fused else tiny_model
+        path = tmp_path / "model.acfd"
+        save_file(source, path)
+        from_file, from_blob = load_file(path), load(path.read_bytes())
+        for restored in (from_file, from_blob):
+            arrays = list(named_arrays(restored).values())
+            owners = {id(_owner(a)) for a in arrays}
+            assert len(owners) == 1
+            assert all(a.flags.aligned and a.dtype == np.float32 for a in arrays)
+        a, b = named_arrays(from_file), named_arrays(from_blob)
+        assert a.keys() == b.keys()
+        for name in a:
+            np.testing.assert_array_equal(a[name], b[name])
+            assert not np.shares_memory(a[name], b[name])

@@ -71,6 +71,46 @@ class TestConv2d:
         np.testing.assert_allclose(conv2d(x, spec), conv2d_direct(x, spec),
                                    atol=1e-4, rtol=1e-4)
 
+    @pytest.mark.parametrize("n, ci, co, hw, kernel, stride, padding", [
+        (2, 3, 4, (5, 7), (1, 1), (1, 1), (0, 0)),
+        (1, 3, 2, (7, 6), (1, 1), (2, 2), (0, 0)),
+        (2, 2, 3, (7, 8), (3, 3), (2, 2), (1, 1)),
+        (1, 5, 1, (6, 7), (3, 3), (1, 1), (1, 1)),
+        (1, 5, 4, (6, 7), (3, 3), (1, 1), (1, 1)),
+        (1, 3, 2, (6, 5), (1, 3), (1, 1), (0, 1)),
+        (2, 3, 2, (6, 5), (3, 1), (1, 1), (1, 0)),
+    ], ids=["1x1-n2", "1x1-stride2", "3x3-stride2-pad1", "head-out1", "head-out4",
+            "acb-1x3", "acb-3x1"])
+    def test_matches_direct_reference_at_named_shapes(self, n, ci, co, hw, kernel,
+                                                      stride, padding):
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=(n, ci, *hw)).astype(np.float32)
+        spec = make_conv(rng.normal(size=(co, ci, *kernel)), bias=rng.normal(size=co),
+                         stride=stride, padding=padding)
+        out = conv2d(x, spec)
+        assert out.dtype == np.float32 and out.flags.c_contiguous
+        np.testing.assert_allclose(out, conv2d_direct(x, spec), atol=1e-4, rtol=1e-4)
+
+    @pytest.mark.parametrize("kernel", [(1, 1), (3, 3)])
+    def test_non_contiguous_input(self, kernel):
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=(2, 6, 9, 12)).astype(np.float32)[:, ::2, 1:, ::-2]
+        assert not x.flags.c_contiguous
+        spec = make_conv(rng.normal(size=(2, 3, *kernel)), bias=rng.normal(size=2))
+        out = conv2d(x, spec)
+        assert out.flags.c_contiguous
+        np.testing.assert_allclose(out, conv2d_direct(x, spec), atol=1e-4, rtol=1e-4)
+
+    @pytest.mark.parametrize("kernel, stride", [((1, 1), (1, 1)), ((3, 3), (2, 1))])
+    def test_float64_stays_float64(self, kernel, stride):
+        rng = np.random.default_rng(13)
+        x = rng.normal(size=(2, 3, 7, 6))
+        spec = ConvSpec(weight=rng.normal(size=(4, 3, *kernel)), bias=rng.normal(size=4),
+                        stride=stride, padding=(1, 1))
+        out = conv2d(x, spec)
+        assert out.dtype == np.float64 and out.flags.c_contiguous
+        np.testing.assert_allclose(out, conv2d_direct(x, spec), atol=1e-10, rtol=0)
+
     def test_matches_scipy_correlate(self):
         scipy_signal = pytest.importorskip("scipy.signal")
         rng = np.random.default_rng(3)
