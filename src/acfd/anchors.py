@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .backbone import Block, block_forward, random_acb, kaiming_conv
+from .backbone import Block, Param, block_forward, named_acb, named_conv
 from .tensor_ops import ConvSpec, ShapeError, conv2d, relu
 
 STRIDES = (4, 8, 16, 32, 64, 128)
@@ -136,12 +136,10 @@ def head_forward(pyramid: list[np.ndarray], head: HeadSpec) -> HeadOutput:
     return out
 
 
-def build_head(width: int, tower_len: int, rng: np.random.Generator,
-               dtype=np.float32) -> HeadSpec:
-    tower: list[Block] = [random_acb(rng, width, width, dtype=dtype)
-                          for _ in range(tower_len)]
+def build_head(width: int, tower_len: int, param: Param, fused: bool = False) -> HeadSpec:
     return HeadSpec(
-        tower=tower,
-        cls_out=kaiming_conv(rng, 1, width, 1, 1, bias=True, dtype=dtype),
-        reg_out=kaiming_conv(rng, 4, width, 1, 1, bias=True, dtype=dtype),
+        tower=[named_acb(param, f"head.tower{i}", width, width, fused=fused)
+               for i in range(tower_len)],
+        cls_out=named_conv(param, "head.cls", 1, width, 1, 1, bias=True),
+        reg_out=named_conv(param, "head.reg", 4, width, 1, 1, bias=True),
     )

@@ -8,6 +8,8 @@ halves exactly through 320/160/80/40/20/10/5.
 """
 from __future__ import annotations
 
+import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,73 +135,113 @@ def tiny_backbone_config(width: int = 8, layer_count: int = 1) -> BackboneConfig
     )
 
 
+# Every builder asks a parameter source ``param(name, shape, draw)`` for each
+# array, under its frozen dotted name and in container order: a random source
+# calls ``draw(rng, shape, dtype)``, a load source looks the name up.
+Param = Callable[[str, tuple[int, ...], Callable], np.ndarray]
+
+
+def kaiming_draw(rng, shape, dtype):
+    fan_in = math.prod(shape[1:])
+    return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape).astype(dtype, copy=False)
+
+
+def _damped_draw(rng, shape, dtype):
+    # the three ACB branches sum, so damp each to keep unit output variance
+    return kaiming_draw(rng, shape, dtype) / np.sqrt(3.0, dtype=dtype)
+
+
+def _zeros_draw(rng, shape, dtype):
+    return np.zeros(shape, dtype=dtype)
+
+
+def sampled(method: str, *args):
+    """The draw ``rng.<method>(*args, shape)`` cast to the dtype."""
+    return lambda rng, shape, dtype: getattr(rng, method)(*args, shape).astype(dtype)
+
+
+def random_params(rng: np.random.Generator, dtype=np.float32) -> Param:
+    """The source that draws every array from ``rng``, in build order."""
+    return lambda name, shape, draw: draw(rng, shape, dtype)
+
+
+def named_conv(param: Param, name: str, out_c: int, in_c: int, kh: int, kw: int,
+               stride=(1, 1), padding=(0, 0), bias: bool = False,
+               draw=kaiming_draw) -> ConvSpec:
+    return ConvSpec(weight=param(f"{name}.weight", (out_c, in_c, kh, kw), draw),
+                    bias=param(f"{name}.bias", (out_c,), _zeros_draw) if bias else None,
+                    stride=stride, padding=padding)
+
+
+def named_bn(param: Param, name: str, channels: int) -> BNSpec:
+    """Near-identity but non-trivial stats: folding is exercised end to end, and
+    float32 fusion drift stays well inside the per-block budget when deep."""
+    return BNSpec(mean=param(f"{name}.mean", (channels,), sampled("normal", 0.0, 0.05)),
+                  var=param(f"{name}.var", (channels,), sampled("uniform", 0.8, 1.25)),
+                  gamma=param(f"{name}.gamma", (channels,), sampled("uniform", 0.9, 1.1)),
+                  beta=param(f"{name}.beta", (channels,), sampled("normal", 0.0, 0.05)))
+
+
+def named_conv_bn(param: Param, name: str, out_c: int, in_c: int, k: int,
+                  stride=(1, 1), padding=(0, 0), fused: bool = False) -> ConvBn:
+    """A conv+BN pair, or once fused its biased conv with no BN."""
+    conv = named_conv(param, f"{name}.conv", out_c, in_c, k, k, stride, padding, bias=fused)
+    return ConvBn(conv=conv, bn=None if fused else named_bn(param, f"{name}.bn", out_c))
+
+
+def named_acb(param: Param, name: str, in_c: int, out_c: int, stride=(1, 1),
+              fused: bool = False) -> Block:
+    """A three-branch ACB, or once fused its one biased 3x3 conv."""
+    if fused:
+        return named_conv(param, name, out_c, in_c, 3, 3, stride, (1, 1), bias=True)
+
+    def branch(kind, kh, kw, padding):
+        conv = named_conv(param, f"{name}.{kind}", out_c, in_c, kh, kw, stride, padding,
+                          draw=_damped_draw)
+        return ConvBn(conv=conv, bn=named_bn(param, f"{name}.{kind}.bn", out_c))
+    return AcbSpec(square=branch("square", 3, 3, (1, 1)),
+                   horizontal=branch("horizontal", 1, 3, (0, 1)),
+                   vertical=branch("vertical", 3, 1, (1, 0)))
+
+
 def kaiming_conv(rng: np.random.Generator, out_c: int, in_c: int, kh: int, kw: int,
                  stride=(1, 1), padding=(0, 0), bias: bool = False,
                  dtype=np.float32) -> ConvSpec:
-    fan_in = in_c * kh * kw
-    weight = rng.normal(0.0, np.sqrt(2.0 / fan_in),
-                        size=(out_c, in_c, kh, kw)).astype(dtype, copy=False)
-    b = np.zeros(out_c, dtype=dtype) if bias else None
-    return ConvSpec(weight=weight, bias=b, stride=stride, padding=padding)
+    return named_conv(random_params(rng, dtype), "conv", out_c, in_c, kh, kw,
+                      stride, padding, bias)
 
 
 def random_bn(rng: np.random.Generator, channels: int, dtype=np.float32) -> BNSpec:
-    """Near-identity but non-trivial stats so folding is exercised end to end.
-
-    Kept close to identity scale so float32 fusion drift stays well inside
-    the per-block budget even through deep compositions.
-    """
-    return BNSpec(
-        mean=rng.normal(0.0, 0.05, channels).astype(dtype),
-        var=rng.uniform(0.8, 1.25, channels).astype(dtype),
-        gamma=rng.uniform(0.9, 1.1, channels).astype(dtype),
-        beta=rng.normal(0.0, 0.05, channels).astype(dtype),
-    )
+    return named_bn(random_params(rng, dtype), "bn", channels)
 
 
 def random_acb(rng: np.random.Generator, in_c: int, out_c: int,
                stride=(1, 1), dtype=np.float32) -> AcbSpec:
-    def branch(kh, kw, padding):
-        conv = kaiming_conv(rng, out_c, in_c, kh, kw, stride, padding, dtype=dtype)
-        # the three branches sum, so damp each to keep unit output variance
-        conv.weight = conv.weight / np.sqrt(3.0, dtype=dtype)
-        return ConvBn(conv=conv, bn=random_bn(rng, out_c, dtype))
-    return AcbSpec(square=branch(3, 3, (1, 1)),
-                   horizontal=branch(1, 3, (0, 1)),
-                   vertical=branch(3, 1, (1, 0)))
+    return named_acb(random_params(rng, dtype), "acb", in_c, out_c, stride)
 
 
-def build_backbone(config: BackboneConfig, rng: np.random.Generator,
-                   dtype=np.float32) -> BackboneSpec:
+def build_backbone(config: BackboneConfig, param: Param,
+                   fused: bool = False) -> BackboneSpec:
     c0, c1, c2 = config.stem_channels
-    stem = [
-        ConvBn(kaiming_conv(rng, c0, 3, 3, 3, (2, 2), (1, 1), dtype=dtype),
-               random_bn(rng, c0, dtype)),
-        ConvBn(kaiming_conv(rng, c1, c0, 3, 3, (1, 1), (1, 1), dtype=dtype),
-               random_bn(rng, c1, dtype)),
-        ConvBn(kaiming_conv(rng, c2, c1, 3, 3, (2, 2), (1, 1), dtype=dtype),
-               random_bn(rng, c2, dtype)),
-    ]
+    stem = [named_conv_bn(param, f"backbone.stem{i}", out_c, in_c, 3, stride, (1, 1), fused)
+            for i, (in_c, out_c, stride) in enumerate(
+                ((3, c0, (2, 2)), (c0, c1, (1, 1)), (c1, c2, (2, 2))))]
     stages: list[list[AosaSpec]] = []
     in_c = c2
-    for cfg in config.stages:
+    for s, cfg in enumerate(config.stages, start=1):
         blocks = []
-        for _ in range(cfg.repeats):
-            acbs: list[Block] = []
-            c = in_c
-            for _ in range(cfg.layer_count):
-                acbs.append(random_acb(rng, c, cfg.layer_channels, dtype=dtype))
-                c = cfg.layer_channels
+        for b in range(cfg.repeats):
+            base = f"backbone.stage{s}.block{b}"
+            acbs = [named_acb(param, f"{base}.acb{a}", cfg.layer_channels if a else in_c,
+                              cfg.layer_channels, fused=fused)
+                    for a in range(cfg.layer_count)]
+            c = cfg.out_channels
             concat_c = in_c + cfg.layer_count * cfg.layer_channels
-            projection = ConvBn(
-                kaiming_conv(rng, cfg.out_channels, concat_c, 1, 1, dtype=dtype),
-                random_bn(rng, cfg.out_channels, dtype))
-            ese = EseSpec(
-                weight=rng.normal(0.0, np.sqrt(2.0 / cfg.out_channels),
-                                  (cfg.out_channels, cfg.out_channels)).astype(dtype),
-                bias=np.zeros(cfg.out_channels, dtype=dtype))
+            projection = named_conv_bn(param, f"{base}.proj", c, concat_c, 1, fused=fused)
+            ese = EseSpec(weight=param(f"{base}.ese.weight", (c, c), kaiming_draw),
+                          bias=param(f"{base}.ese.bias", (c,), _zeros_draw))
             blocks.append(AosaSpec(acbs=acbs, projection=projection, ese=ese,
-                                   residual=in_c == cfg.out_channels))
-            in_c = cfg.out_channels
+                                   residual=in_c == c))
+            in_c = c
         stages.append(blocks)
     return BackboneSpec(stem=stem, stages=stages)

@@ -117,13 +117,6 @@ def fuse_block(block: AcbSpec | ConvBn) -> ConvSpec | ConvBn:
     return ConvBn(conv=fuse_conv_bn(block.conv, block.bn))
 
 
-def fused_shapes(block: AcbSpec | ConvBn) -> ConvSpec | ConvBn:
-    """The layout ``fuse_block`` gives a built block, with nothing computed."""
-    conv = block.square.conv if isinstance(block, AcbSpec) else block.conv
-    folded = replace(conv, bias=np.empty(conv.out_c, dtype=conv.weight.dtype))
-    return folded if isinstance(block, AcbSpec) else ConvBn(conv=folded)
-
-
 def map_blocks(tree, leaf):
     """Rebuild a model or any sub-tree of one with every ``AcbSpec`` and
     ``ConvBn`` replaced by ``leaf(block)``; arrays and numbers carry over."""

@@ -1,23 +1,23 @@
 """Full detector assembly: backbone -> neck -> head, plus whole-model fusion.
 
 A DetectorModel bundles the three weight trees with the structural config
-that rebuilds them. ``named_arrays`` flattens every parameter under a frozen
-dotted naming scheme (e.g. ``backbone.stage1.block0.acb2.square.weight``),
-which is what the weight container serializes.
+that rebuilds them. The section builders name every parameter (e.g.
+``backbone.stage1.block0.acb2.square.weight``) in build order, which is the
+order ``named_arrays`` lists and the weight container serializes.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
 from .anchors import HeadOutput, HeadSpec, build_head, head_forward
-from .backbone import (BackboneConfig, BackboneSpec, Block, StageConfig,
-                       backbone_forward, build_backbone, tiny_backbone_config)
-from .fusion import (AcbSpec, ConvBn, acb_macs, conv_macs, fuse_block,
-                     fused_shapes, map_blocks)
+from .backbone import (BackboneConfig, BackboneSpec, Block, Param, StageConfig,
+                       backbone_forward, build_backbone, random_params,
+                       tiny_backbone_config)
+from .fusion import AcbSpec, acb_macs, conv_macs, fuse_block, map_blocks
 from .neck import BifpnSpec, abifpn_forward, build_neck
-from .tensor_ops import ConvSpec
+from .tensor_ops import ShapeError
 
 
 @dataclass(frozen=True)
@@ -67,16 +67,19 @@ class DetectorModel:
     fused: bool = False
 
 
-def _build(config: ModelConfig, rng, dtype=np.float32) -> DetectorModel:
-    backbone = build_backbone(config.backbone, rng, dtype)
-    neck = build_neck(config.backbone.out_channels, config.neck_width,
-                      config.neck_repeats, rng, dtype)
-    head = build_head(config.neck_width, config.head_tower, rng, dtype)
-    return DetectorModel(config=config, backbone=backbone, neck=neck, head=head)
+def _build(config: ModelConfig, param: Param, fused: bool = False) -> DetectorModel:
+    """The one description of the parameter layout: names, shapes and order."""
+    return DetectorModel(
+        config=config,
+        backbone=build_backbone(config.backbone, param, fused),
+        neck=build_neck(config.backbone.out_channels, config.neck_width,
+                        config.neck_repeats, param, fused),
+        head=build_head(config.neck_width, config.head_tower, param, fused),
+        fused=fused)
 
 
-def build_model(config: ModelConfig, seed: int = 0, dtype=np.float32) -> DetectorModel:
-    return _build(config, np.random.default_rng(seed), dtype)
+def build_model(config: ModelConfig, seed: int = 0) -> DetectorModel:
+    return _build(config, random_params(np.random.default_rng(seed)))
 
 
 def forward(model: DetectorModel, image: np.ndarray) -> HeadOutput:
@@ -96,97 +99,53 @@ def fuse_model(model: DetectorModel) -> DetectorModel:
 
 
 # ---------------------------------------------------------------------------
-# parameter walk (serialization order is this exact traversal)
+# named parameters (container order is the build order)
 
-def _walk_conv(prefix: str, conv: ConvSpec):
-    yield f"{prefix}.weight", conv, "weight"
-    if conv.bias is not None:
-        yield f"{prefix}.bias", conv, "bias"
-
-
-def _walk_convbn(prefix: str, block: ConvBn):
-    yield from _walk_conv(f"{prefix}.conv", block.conv)
-    if block.bn is not None:
-        for stat in ("mean", "var", "gamma", "beta"):
-            yield f"{prefix}.bn.{stat}", block.bn, stat
-
-
-def _walk_block(prefix: str, block: Block):
-    if isinstance(block, AcbSpec):
-        for branch in ("square", "horizontal", "vertical"):
-            cb: ConvBn = getattr(block, branch)
-            yield from _walk_conv(f"{prefix}.{branch}", cb.conv)
-            for stat in ("mean", "var", "gamma", "beta"):
-                yield f"{prefix}.{branch}.bn.{stat}", cb.bn, stat
-    else:
-        yield from _walk_conv(prefix, block)
-
-
-def _walk_model(model: DetectorModel):
-    for i, blk in enumerate(model.backbone.stem):
-        yield from _walk_convbn(f"backbone.stem{i}", blk)
-    for s, stage in enumerate(model.backbone.stages, start=1):
-        for b, blk in enumerate(stage):
-            base = f"backbone.stage{s}.block{b}"
-            for a, acb in enumerate(blk.acbs):
-                yield from _walk_block(f"{base}.acb{a}", acb)
-            yield from _walk_convbn(f"{base}.proj", blk.projection)
-            yield f"{base}.ese.weight", blk.ese, "weight"
-            yield f"{base}.ese.bias", blk.ese, "bias"
-    for i, lat in enumerate(model.neck.laterals):
-        yield from _walk_convbn(f"neck.lateral{i}", lat)
-    for li, layer in enumerate(model.neck.layers):
-        for kind, nodes in (("td", layer.td_nodes), ("bu", layer.bu_nodes)):
-            for ni, node in enumerate(nodes):
-                base = f"neck.layer{li}.{kind}{ni}"
-                yield f"{base}.fuse_weights", node, "weights"
-                yield from _walk_block(f"{base}.acb", node.acb)
-    for i, blk in enumerate(model.head.tower):
-        yield from _walk_block(f"head.tower{i}", blk)
-    yield from _walk_conv("head.cls", model.head.cls_out)
-    yield from _walk_conv("head.reg", model.head.reg_out)
+def _leaves(tree):
+    """Every array of a model or sub-tree, in dataclass field order."""
+    if isinstance(tree, np.ndarray):
+        yield tree
+    elif isinstance(tree, list):
+        for node in tree:
+            yield from _leaves(node)
+    elif is_dataclass(tree):
+        for f in fields(tree):
+            yield from _leaves(getattr(tree, f.name))
 
 
 def named_arrays(model: DetectorModel) -> dict[str, np.ndarray]:
-    """Flat name -> array view of every parameter, in traversal order."""
+    """Flat name -> array view of every parameter, in container order (the
+    builders ask for arrays in the order the model's fields hold them)."""
+    leaves = _leaves(model)
     out: dict[str, np.ndarray] = {}
-    for name, obj, attr in _walk_model(model):
-        if name in out:
-            raise ValueError(f"duplicate parameter name {name}")
-        out[name] = getattr(obj, attr)
+
+    def own(name, shape, draw):
+        value = next(leaves, None)
+        if value is None or value.shape != shape or name in out:
+            raise ValueError(f"model does not match its config at parameter {name}")
+        out[name] = value
+        return value
+    _build(model.config, own, model.fused)
+    if next(leaves, None) is not None:
+        raise ValueError("model holds more arrays than its config names")
     return out
-
-
-class _ShapeOnlyDraws:
-    """Generator stand-in for the builders: every draw is zeros, which stay
-    untouched pages and keep the builders' arithmetic finite."""
-
-    def normal(self, loc, scale, size):
-        return np.zeros(size, dtype=np.float32)
-
-    uniform = normal
 
 
 def model_from_arrays(config: ModelConfig, fused: bool,
                       arrays: dict[str, np.ndarray]) -> DetectorModel:
-    """Rebuild a model from its flat parameter dict, drawing no random numbers."""
-    model = _build(config, _ShapeOnlyDraws())
-    if fused:
-        model = replace(map_blocks(model, fused_shapes), fused=True)
-    expected = []
-    for name, obj, attr in _walk_model(model):
-        if name not in arrays:
+    """Rebuild a model over the given arrays; allocates no parameter."""
+    remaining = dict(arrays)
+
+    def lookup(name, shape, draw):
+        value = remaining.pop(name, None)
+        if value is None:
             raise ValueError(f"missing parameter {name}")
-        current = getattr(obj, attr)
-        value = arrays[name]
-        if current.shape != value.shape:
-            raise ValueError(
-                f"parameter {name}: shape {value.shape} != expected {current.shape}")
-        setattr(obj, attr, value.astype(current.dtype, copy=False))
-        expected.append(name)
-    extra = set(arrays) - set(expected)
-    if extra:
-        raise ValueError(f"unknown parameters in container: {sorted(extra)[:3]}")
+        if value.shape != shape:
+            raise ValueError(f"parameter {name}: shape {value.shape} != expected {shape}")
+        return value
+    model = _build(config, lookup, fused)
+    if remaining:
+        raise ValueError(f"unknown parameters in container: {sorted(remaining)[:3]}")
     return model
 
 
@@ -200,33 +159,20 @@ def _block_macs(block: Block, hw: tuple[int, int]) -> int:
 def count_model_macs(model: DetectorModel, image_hw: tuple[int, int]) -> int:
     """Per-image MAC count of every conv/linear in the forward path."""
     h, w = image_hw
-    total = 0
-    for blk in model.backbone.stem:
-        total += conv_macs(blk.conv, (h, w))
-        sh, sw = blk.conv.stride
-        h, w = (h + 2 * blk.conv.padding[0] - blk.conv.kh) // sh + 1, \
-               (w + 2 * blk.conv.padding[1] - blk.conv.kw) // sw + 1
-    level_hw = []
-    for idx, stage in enumerate(model.backbone.stages):
-        if idx > 0:
-            h, w = (h + 1) // 2, (w + 1) // 2  # 3x3/s2/p1 pool
+    if h % 128 or w % 128:
+        raise ShapeError(f"image dims must be divisible by 128, got {h}x{w}")
+    at = lambda stride: (h // stride, w // stride)  # input size of a map at stride
+    levels = [at(4 << i) for i in range(len(model.backbone.stages))]
+    total = sum(conv_macs(blk.conv, at(s)) for blk, s in zip(model.backbone.stem, (1, 2, 2)))
+    for stage, hw in zip(model.backbone.stages, levels):
         for blk in stage:
-            for acb in blk.acbs:
-                total += _block_macs(acb, (h, w))
-            total += conv_macs(blk.projection.conv, (h, w))
-            total += blk.ese.weight.shape[0] * blk.ese.weight.shape[1]
-        level_hw.append((h, w))
-    for lat, hw in zip(model.neck.laterals, level_hw):
-        total += conv_macs(lat.conv, hw)
-    for layer in model.neck.layers:
-        td_levels = list(range(len(level_hw) - 2, -1, -1))
-        for lvl, node in zip(td_levels, layer.td_nodes):
-            total += _block_macs(node.acb, level_hw[lvl])
-        for lvl, node in zip(range(1, len(level_hw)), layer.bu_nodes):
-            total += _block_macs(node.acb, level_hw[lvl])
-    for hw in level_hw:
-        for blk in model.head.tower:
-            total += _block_macs(blk, hw)
-        total += conv_macs(model.head.cls_out, hw)
-        total += conv_macs(model.head.reg_out, hw)
+            total += sum(_block_macs(acb, hw) for acb in blk.acbs)
+            total += conv_macs(blk.projection.conv, hw) + blk.ese.weight.size
+    total += sum(conv_macs(lat.conv, hw) for lat, hw in zip(model.neck.laterals, levels))
+    for layer in model.neck.layers:  # td nodes run levels 4..0, bu nodes 1..5
+        nodes = [*zip(layer.td_nodes, levels[-2::-1]), *zip(layer.bu_nodes, levels[1:])]
+        total += sum(_block_macs(node.acb, hw) for node, hw in nodes)
+    for hw in levels:
+        total += sum(_block_macs(blk, hw) for blk in model.head.tower)
+        total += conv_macs(model.head.cls_out, hw) + conv_macs(model.head.reg_out, hw)
     return total

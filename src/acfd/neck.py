@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backbone import (POOL_KERNEL, POOL_PAD, POOL_STRIDE, Block,
-                       block_forward, random_acb, random_bn, kaiming_conv)
+from .backbone import (POOL_KERNEL, POOL_PAD, POOL_STRIDE, Block, Param,
+                       block_forward, named_acb, named_conv_bn, sampled)
 from .fusion import ConvBn
 from .tensor_ops import ShapeError, max_pool2d, relu, resize_nearest
 
@@ -99,18 +99,18 @@ def abifpn_forward(pyramid: list[np.ndarray], spec: BifpnSpec) -> list[np.ndarra
 
 
 def build_neck(in_channels: tuple[int, ...], width: int, repeats: int,
-               rng: np.random.Generator, dtype=np.float32) -> BifpnSpec:
-    laterals = [ConvBn(kaiming_conv(rng, width, c, 1, 1, dtype=dtype),
-                       random_bn(rng, width, dtype))
-                for c in in_channels]
+               param: Param, fused: bool = False) -> BifpnSpec:
+    laterals = [named_conv_bn(param, f"neck.lateral{i}", width, c, 1, fused=fused)
+                for i, c in enumerate(in_channels)]
 
-    def node(fan_in: int) -> FuseNodeSpec:
-        return FuseNodeSpec(weights=rng.uniform(0.5, 1.5, fan_in).astype(dtype),
-                            acb=random_acb(rng, width, width, dtype=dtype))
+    def node(name: str, fan_in: int) -> FuseNodeSpec:
+        return FuseNodeSpec(
+            weights=param(f"{name}.fuse_weights", (fan_in,), sampled("uniform", 0.5, 1.5)),
+            acb=named_acb(param, f"{name}.acb", width, width, fused=fused))
 
     n = len(in_channels)
     layers = [BifpnLayerSpec(
-        td_nodes=[node(2) for _ in range(n - 1)],
-        bu_nodes=[node(3) for _ in range(n - 2)] + [node(2)],
-    ) for _ in range(repeats)]
+        td_nodes=[node(f"neck.layer{li}.td{i}", 2) for i in range(n - 1)],
+        bu_nodes=[node(f"neck.layer{li}.bu{i}", 3 if i < n - 2 else 2) for i in range(n - 1)],
+    ) for li in range(repeats)]
     return BifpnSpec(width=width, laterals=laterals, layers=layers)

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from acfd.anchors import (DELTA_CLAMP, STRIDES, anchor_count, build_head,
                           decode, encode, generate_anchors, head_forward)
-from acfd.backbone import build_backbone, backbone_forward, tiny_backbone_config
+from acfd.backbone import (build_backbone, backbone_forward, random_params,
+                           tiny_backbone_config)
 from acfd.neck import abifpn_forward, build_neck
 from acfd.tensor_ops import ShapeError
 
@@ -113,14 +114,14 @@ class TestEncodeDecode:
 class TestHeadForward:
     def _pyramid(self, seed=0, width=8, image=128):
         rng = np.random.default_rng(seed)
-        backbone = build_backbone(tiny_backbone_config(width), rng)
-        neck = build_neck((width,) * 6, width, 1, rng)
+        backbone = build_backbone(tiny_backbone_config(width), random_params(rng))
+        neck = build_neck((width,) * 6, width, 1, random_params(rng))
         img = rng.normal(size=(1, 3, image, image)).astype(np.float32)
         return abifpn_forward(backbone_forward(img, backbone), neck), rng
 
     def test_per_level_shapes(self):
         pyramid, rng = self._pyramid()
-        head = build_head(8, 2, rng)
+        head = build_head(8, 2, random_params(rng))
         out = head_forward(pyramid, head)
         for level, (c, r) in zip(pyramid, zip(out.cls, out.reg)):
             assert c.shape == (1, 1) + level.shape[2:]
@@ -128,7 +129,7 @@ class TestHeadForward:
 
     def test_flat_lengths_match_anchor_count(self):
         pyramid, rng = self._pyramid(image=256)
-        head = build_head(8, 2, rng)
+        head = build_head(8, 2, random_params(rng))
         out = head_forward(pyramid, head)
         total = anchor_count((256, 256))
         assert out.flat_cls().shape == (1, total)
@@ -136,7 +137,7 @@ class TestHeadForward:
 
     def test_zero_tower_emits_bias(self):
         pyramid, rng = self._pyramid(seed=1)
-        head = build_head(8, 2, rng)
+        head = build_head(8, 2, random_params(rng))
         head.cls_out.weight = np.zeros_like(head.cls_out.weight)
         head.cls_out.bias = np.array([-1.25], dtype=np.float32)
         out = head_forward(pyramid, head)
@@ -144,7 +145,7 @@ class TestHeadForward:
 
     def test_flat_order_is_level_then_row_major(self):
         pyramid, rng = self._pyramid(seed=2)
-        head = build_head(8, 2, rng)
+        head = build_head(8, 2, random_params(rng))
         out = head_forward(pyramid, head)
         flat = out.flat_cls()[0]
         offset = 0

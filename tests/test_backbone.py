@@ -3,7 +3,7 @@ import pytest
 
 from acfd.backbone import (AosaSpec, BackboneConfig, EseSpec, aosa_forward,
                            backbone_forward, build_backbone, ese_attention,
-                           kaiming_conv, random_acb, random_bn,
+                           kaiming_conv, random_acb, random_bn, random_params,
                            tiny_backbone_config)
 from acfd.fusion import AcbSpec, ConvBn, fuse_block, map_blocks
 from acfd.tensor_ops import BNSpec, ConvSpec, ShapeError, concat_channels, relu
@@ -108,7 +108,7 @@ class TestAosaForward:
 class TestBackboneForward:
     def test_tiny_smoke_six_levels(self):
         rng = np.random.default_rng(5)
-        spec = build_backbone(tiny_backbone_config(8), rng)
+        spec = build_backbone(tiny_backbone_config(8), random_params(rng))
         img = rng.normal(size=(1, 3, 128, 128)).astype(np.float32)
         pyramid = backbone_forward(img, spec)
         assert len(pyramid) == 6
@@ -116,7 +116,7 @@ class TestBackboneForward:
 
     def test_stride_arithmetic_256(self):
         rng = np.random.default_rng(6)
-        spec = build_backbone(tiny_backbone_config(8), rng)
+        spec = build_backbone(tiny_backbone_config(8), random_params(rng))
         img = rng.normal(size=(1, 3, 256, 256)).astype(np.float32)
         pyramid = backbone_forward(img, spec)
         assert [p.shape[2] for p in pyramid] == [64, 32, 16, 8, 4, 2]
@@ -124,7 +124,7 @@ class TestBackboneForward:
 
     def test_indivisible_dims_rejected(self):
         rng = np.random.default_rng(7)
-        spec = build_backbone(tiny_backbone_config(8), rng)
+        spec = build_backbone(tiny_backbone_config(8), random_params(rng))
         with pytest.raises(ShapeError):
             backbone_forward(np.zeros((1, 3, 130, 128), dtype=np.float32), spec)
 
@@ -136,7 +136,7 @@ class TestBackboneForward:
 
     def test_residual_placement(self):
         rng = np.random.default_rng(8)
-        spec = build_backbone(BackboneConfig(), rng)
+        spec = build_backbone(BackboneConfig(), random_params(rng))
         residuals = [[blk.residual for blk in stage] for stage in spec.stages]
         assert residuals == [[False], [False], [False, True], [False, True],
                              [False], [True]]
@@ -144,7 +144,7 @@ class TestBackboneForward:
 
 def test_fully_fused_backbone_drift_within_budget():
     rng = np.random.default_rng(9)
-    spec = build_backbone(tiny_backbone_config(8), rng)
+    spec = build_backbone(tiny_backbone_config(8), random_params(rng))
     fused = map_blocks(spec, fuse_block)
     img = rng.uniform(-1, 1, size=(1, 3, 128, 128)).astype(np.float32)
     for a, b in zip(backbone_forward(img, spec), backbone_forward(img, fused)):

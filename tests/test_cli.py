@@ -1,5 +1,6 @@
 import hashlib
 import json
+import resource
 import struct
 import subprocess
 import sys
@@ -235,6 +236,30 @@ class TestDetect:
         assert main(["detect", str(ppm_image), str(bad)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("cannot read") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("edit", [
+        lambda c: {**c, "neck_width": 10**9},
+        lambda c: {**c, "stem_channels": [10**9, *c["stem_channels"][1:]]},
+        lambda c: {**c, "stages": [[10**9, *c["stages"][0][1:]], *c["stages"][1:]]},
+        lambda c: {**c, "stages": [[*c["stages"][0][:3], 10**9], *c["stages"][1:]]},
+        lambda c: {**c, "head_tower": 10**9},
+    ], ids=["neck-width", "stem-channels", "repeats", "layer-count", "head-tower"])
+    def test_huge_config_is_one_line_io_error_in_bounded_memory(self, edit, ppm_image,
+                                                                fused_container, tmp_path):
+        blob = fused_container.read_bytes()
+        (header_len,) = struct.unpack_from("<Q", blob, 5)
+        header = json.loads(blob[13:13 + header_len])
+        raw = json.dumps({**header, "config": edit(header["config"])}).encode()
+        bad = tmp_path / "huge.acfd"
+        bad.write_bytes(blob[:5] + struct.pack("<Q", len(raw)) + raw + blob[13 + header_len:])
+
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+        proc = subprocess.run([sys.executable, "-m", "acfd.cli", "detect", str(ppm_image),
+                               str(bad)], capture_output=True, text=True, timeout=30,
+                              preexec_fn=limit_memory)
+        assert proc.returncode == 1
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
     def test_default_scales_output_is_pinned(self, ppm_image, fused_container, tmp_path):
         # 3000 candidates, 1772 of them survive full NMS; the digest was recorded

@@ -1,9 +1,13 @@
+import sys
+
 import numpy as np
 import pytest
 
 from acfd.anchors import anchor_count
-from acfd.model import (ModelConfig, build_model, count_model_macs, forward,
+from acfd.backbone import random_params
+from acfd.model import (ModelConfig, _build, build_model, count_model_macs, forward,
                         full_config, fuse_model, named_arrays, tiny_config)
+from acfd.tensor_ops import ShapeError, conv2d, linear
 
 
 @pytest.fixture(scope="module")
@@ -68,3 +72,52 @@ def test_different_seeds_differ():
     b = build_model(tiny_config(), seed=6)
     assert not np.array_equal(named_arrays(a)["head.cls.weight"],
                               named_arrays(b)["head.cls.weight"])
+
+
+@pytest.mark.parametrize("fused", [False, True], ids=["unfused", "fused"])
+@pytest.mark.parametrize("config", [tiny_config(), tiny_config(16, 2)],
+                         ids=["tiny", "tiny-16x2"])
+def test_named_arrays_are_the_built_arrays_in_build_order(config, fused):
+    # shapes alone cannot tell two swapped BN stats apart: all four are (c,)
+    draw = random_params(np.random.default_rng(0))
+    recorded = {}
+
+    def record(name, shape, how):
+        recorded[name] = draw(name, shape, how)
+        return recorded[name]
+    named = named_arrays(_build(config, record, fused))
+    assert list(named) == list(recorded)
+    assert all(named[name] is recorded[name] for name in recorded)
+
+
+@pytest.mark.parametrize("hw", [(128, 128), (256, 384)], ids=["128x128", "256x384"])
+@pytest.mark.parametrize("fused", [False, True], ids=["unfused", "fused"])
+@pytest.mark.parametrize("config", [tiny_config(), tiny_config(16, 2)],
+                         ids=["tiny", "tiny-16x2"])
+def test_count_model_macs_equals_the_macs_forward_runs(config, fused, hw, monkeypatch):
+    m = build_model(config, seed=0)
+    m = fuse_model(m) if fused else m
+    macs = []
+
+    def counted_conv2d(x, spec):
+        out = conv2d(x, spec)
+        macs.append(out.size * spec.in_c * spec.kh * spec.kw)
+        return out
+
+    def counted_linear(x, weight, bias):
+        macs.append(x.size // x.shape[-1] * weight.size)
+        return linear(x, weight, bias)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("acfd."):
+            for op, counted in ((conv2d, counted_conv2d), (linear, counted_linear)):
+                if vars(module).get(op.__name__) is op:
+                    monkeypatch.setattr(module, op.__name__, counted)
+    image = np.random.default_rng(1).uniform(-1, 1, (1, 3, *hw)).astype(np.float32)
+    forward(m, image)
+    assert sum(macs) == count_model_macs(m, hw)
+
+
+@pytest.mark.parametrize("hw", [(100, 128), (128, 200)])
+def test_count_model_macs_rejects_sizes_forward_rejects(tiny_model, hw):
+    with pytest.raises(ShapeError):
+        count_model_macs(tiny_model, hw)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from acfd.backbone import build_backbone, backbone_forward, tiny_backbone_config
+from acfd.backbone import (build_backbone, backbone_forward, random_params,
+                           tiny_backbone_config)
 from acfd.fusion import AcbSpec, ConvBn, fuse_block, map_blocks
 from acfd.neck import (BifpnSpec, abifpn_forward, bifpn_layer_forward, build_neck,
                        fuse_node, normalized_fusion_weights)
@@ -78,10 +79,10 @@ class TestFuseNode:
 class TestAbifpnForward:
     def test_shape_contract(self):
         rng = np.random.default_rng(3)
-        backbone = build_backbone(tiny_backbone_config(8), rng)
+        backbone = build_backbone(tiny_backbone_config(8), random_params(rng))
         pyramid = backbone_forward(rng.normal(size=(1, 3, 128, 128)).astype(np.float32),
                                    backbone)
-        neck = build_neck((8,) * 6, width=8, repeats=1, rng=rng)
+        neck = build_neck((8,) * 6, width=8, repeats=1, param=random_params(rng))
         out = abifpn_forward(pyramid, neck)
         assert len(out) == 6
         for level_in, level_out in zip(pyramid, out):
@@ -90,7 +91,7 @@ class TestAbifpnForward:
 
     def test_repeats_compose(self):
         rng = np.random.default_rng(4)
-        neck1 = build_neck((8,) * 6, width=8, repeats=1, rng=rng)
+        neck1 = build_neck((8,) * 6, width=8, repeats=1, param=random_params(rng))
         neck2 = BifpnSpec(width=8, laterals=neck1.laterals,
                           layers=[neck1.layers[0], neck1.layers[0]])
         pyramid = tiny_pyramid(np.random.default_rng(5))
@@ -102,7 +103,7 @@ class TestAbifpnForward:
 
     def test_zero_laterals_give_finite_constants(self):
         rng = np.random.default_rng(6)
-        neck = build_neck((8,) * 6, width=8, repeats=1, rng=rng)
+        neck = build_neck((8,) * 6, width=8, repeats=1, param=random_params(rng))
         for lat in neck.laterals:
             lat.conv.weight = np.zeros_like(lat.conv.weight)
         out = abifpn_forward(tiny_pyramid(np.random.default_rng(7)), neck)
@@ -114,13 +115,13 @@ class TestAbifpnForward:
 
     def test_level_count_checked(self):
         rng = np.random.default_rng(8)
-        neck = build_neck((8,) * 6, width=8, repeats=1, rng=rng)
+        neck = build_neck((8,) * 6, width=8, repeats=1, param=random_params(rng))
         with pytest.raises(ShapeError):
             abifpn_forward(tiny_pyramid(rng)[:5], neck)
 
     def test_fused_neck_drift_within_budget(self):
         rng = np.random.default_rng(9)
-        neck = build_neck((8,) * 6, width=8, repeats=1, rng=rng)
+        neck = build_neck((8,) * 6, width=8, repeats=1, param=random_params(rng))
         fused = map_blocks(neck, fuse_block)
         pyramid = tiny_pyramid(np.random.default_rng(10))
         for a, b in zip(abifpn_forward(pyramid, neck), abifpn_forward(pyramid, fused)):
@@ -128,7 +129,7 @@ class TestAbifpnForward:
 
     def test_odd_sized_levels_supported(self):
         rng = np.random.default_rng(11)
-        neck = build_neck((4,) * 6, width=4, repeats=1, rng=rng)
+        neck = build_neck((4,) * 6, width=4, repeats=1, param=random_params(rng))
         dims = [(40, 52), (20, 26), (10, 13), (5, 7), (3, 4), (2, 2)]
         pyramid = [rng.normal(size=(1, 4, h, w)).astype(np.float32) for h, w in dims]
         out = abifpn_forward(pyramid, neck)
