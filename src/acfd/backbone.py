@@ -70,7 +70,7 @@ def aosa_forward(x: np.ndarray, spec: AosaSpec) -> np.ndarray:
     out = relu(spec.projection.forward(concat_channels(feats)))
     out = ese_attention(out, spec.ese.weight, spec.ese.bias)
     if spec.residual:
-        out = out + x
+        out += x
     return out
 
 

@@ -125,6 +125,31 @@ def _load_json(path):
         return json.load(fh)
 
 
+def _boxes_by_file(entries, what: str, count: int | None = None) -> list[tuple]:
+    """(file, (k, 4) float64 boxes) per entry of a JSON list, k == count if given.
+    Raises ValueError on any other shape."""
+    if not isinstance(entries, list):
+        raise ValueError(f"{what}s must be a JSON list, got {type(entries).__name__}")
+    out = []
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict) or "boxes" not in entry:
+            raise ValueError(f"{what} {i} is not an object with \"boxes\"")
+        key = entry.get("file", entry.get("image_id"))
+        if isinstance(key, (list, dict)):
+            raise ValueError(f"{what} {i} names its file with a JSON {type(key).__name__}")
+        try:
+            boxes = np.asarray(entry["boxes"], dtype=np.float64)
+        except (TypeError, ValueError):
+            raise ValueError(f"{what} {i} has boxes that are not numbers") from None
+        if boxes.size % 4:
+            raise ValueError(f"{what} {i} has {boxes.size} box numbers, not a multiple of 4")
+        if count is not None and boxes.size != 4 * count:
+            raise ValueError(f"{what} {i} has {boxes.size // 4} boxes, not one per anchor "
+                             f"({count})")
+        out.append((key, boxes.reshape(-1, 4)))
+    return out
+
+
 def cmd_match(args) -> int:
     try:
         annotations = _load_json(args.annotations)
@@ -136,17 +161,18 @@ def cmd_match(args) -> int:
         print(f"malformed JSON: {exc}", file=sys.stderr)
         return EXIT_IO
     anchors = generate_anchors(args.image_size)
-    preds_by_id = {p.get("file", p.get("image_id")): p["boxes"] for p in predictions}
+    try:
+        annotations = _boxes_by_file(annotations, "annotation")
+        preds_by_id = dict(_boxes_by_file(predictions, "prediction", len(anchors)))
+    except ValueError as exc:
+        print(f"malformed input: {exc}", file=sys.stderr)
+        return EXIT_IO
     print(f"{'T1':>6} {'T2':>6} {'matched':>9} {'compensated':>12} {'per-face':>9}")
     for t1 in args.t1:
         for t2 in args.t2:
             n1 = n2 = faces = 0
-            for entry in annotations:
-                key = entry.get("file", entry.get("image_id"))
-                gts = np.asarray(entry["boxes"], dtype=np.float64).reshape(-1, 4)
-                regressed = preds_by_id.get(key)
-                regressed = anchors.boxes if regressed is None \
-                    else np.asarray(regressed, dtype=np.float64)
+            for key, gts in annotations:
+                regressed = preds_by_id.get(key, anchors.boxes)
                 result = dam_match(anchors, regressed, gts, t1, t2)
                 n1 += result.n1
                 n2 += result.n2

@@ -38,7 +38,7 @@ def fuse_node(inputs: list[np.ndarray], weights, acb: Block) -> np.ndarray:
     w = normalized_fusion_weights(weights).astype(inputs[0].dtype)
     mixed = w[0] * inputs[0]
     for wi, t in zip(w[1:], inputs[1:]):
-        mixed = mixed + wi * t
+        mixed += wi * t
     return relu(block_forward(mixed, acb))
 
 

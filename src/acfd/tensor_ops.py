@@ -98,6 +98,10 @@ class BNSpec:
         return a, b
 
 
+# Bytes of im2col columns conv2d builds per GEMM: whole output rows, at least one
+COLS_BLOCK_BYTES = 8 << 20
+
+
 def conv_output_shape(size: int, kernel: int, stride: int, pad: int) -> int:
     return (size + 2 * pad - kernel) // stride + 1
 
@@ -115,35 +119,59 @@ def _check_conv_dims(x: np.ndarray, spec: ConvSpec) -> tuple[int, int]:
     return oh, ow
 
 
+def _tap_outputs(size: int, out: int, tap: int, stride: int, pad: int) -> tuple[int, int]:
+    """Outputs [lo, hi) whose source pixel o*stride + tap - pad lies in [0, size)."""
+    lo = min(out, max(0, -((tap - pad) // stride)))
+    return lo, max(lo, min(out, (size - 1 + pad - tap) // stride + 1))
+
+
 def conv2d(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
     """2-D cross-correlation with zero padding (im2col + GEMM path).
 
-    Columns are channel-major, so kernel @ cols writes (c, n, h, w): NCHW when n == 1.
+    Columns are channel-major and built one block of output rows at a time,
+    at most COLS_BLOCK_BYTES per block: each kernel tap copies its in-bounds
+    window of the unpadded input and zeroes the strips that fall in the
+    padding. kernel @ cols writes each block straight into its rows of the
+    (c, n, h, w) output, which is NCHW when n == 1.
     """
     oh, ow = _check_conv_dims(x, spec)
-    n, c = x.shape[:2]
+    n, c, h, w = x.shape
     kh, kw = spec.kh, spec.kw
     sh, sw = spec.stride
     ph, pw = spec.padding
-
-    if ph or pw:
-        x = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    xc = x.transpose(1, 0, 2, 3)
-    if (kh, kw, sh, sw) == (1, 1, 1, 1):
+    weight = spec.weight.reshape(spec.out_c, -1)
+    out = np.empty((spec.out_c, n, oh, ow), dtype=x.dtype)
+    if (kh, kw, sh, sw, ph, pw) == (1, 1, 1, 1, 0, 0):
         # the input itself is the column matrix (a view when n == 1)
-        cols = xc.reshape(c, n * oh * ow)
+        cols = x.transpose(1, 0, 2, 3).reshape(c, n * oh * ow)
+        np.matmul(weight, cols, out=out.reshape(spec.out_c, n * oh * ow))
     else:
-        # one strided slab copy per kernel tap, whole rows at a time
-        cols = np.empty((c, kh, kw, n, oh, ow), dtype=x.dtype)
-        for i in range(kh):
-            for j in range(kw):
-                cols[:, i, j] = xc[:, :, i:i + sh * oh:sh, j:j + sw * ow:sw]
-        cols = cols.reshape(c * kh * kw, n * oh * ow)
-    out = spec.weight.reshape(spec.out_c, -1) @ cols
+        rows = max(1, min(oh, COLS_BLOCK_BYTES // (c * kh * kw * ow * x.itemsize)))
+        # zeroed once: a tap's column strips in the padding are never written
+        cols = np.zeros((c, kh, kw, rows, ow), dtype=x.dtype)
+        row_taps = [_tap_outputs(h, oh, i, sh, ph) for i in range(kh)]
+        col_taps = [_tap_outputs(w, ow, j, sw, pw) for j in range(kw)]
+        out_rows = out.reshape(spec.out_c, n, oh * ow)
+        for b in range(n):
+            for r0 in range(0, oh, rows):
+                r = min(rows, oh - r0)
+                for i, (lo, hi) in enumerate(row_taps):
+                    top, bot = min(max(lo - r0, 0), r), min(max(hi - r0, 0), r)
+                    y0 = (r0 + top) * sh + i - ph
+                    for j, (left, right) in enumerate(col_taps):
+                        slab = cols[:, i, j]
+                        slab[:, :top] = 0
+                        slab[:, bot:r] = 0
+                        if top < bot and left < right:
+                            x0 = left * sw + j - pw
+                            slab[:, top:bot, left:right] = x[
+                                b, :, y0:y0 + sh * (bot - top):sh,
+                                x0:x0 + sw * (right - left):sw]
+                np.matmul(weight, cols.reshape(-1, rows * ow)[:, :r * ow],
+                          out=out_rows[:, b, r0 * ow:(r0 + r) * ow])
     if spec.bias is not None:
-        out += spec.bias[:, None]
-    return np.ascontiguousarray(
-        out.reshape(spec.out_c, n, oh, ow).transpose(1, 0, 2, 3))
+        out += spec.bias[:, None, None, None]
+    return np.ascontiguousarray(out.transpose(1, 0, 2, 3))
 
 
 def conv2d_direct(x: np.ndarray, spec: ConvSpec) -> np.ndarray:

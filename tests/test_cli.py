@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from acfd import container
+from acfd import container, tensor_ops
 from acfd.anchors import generate_anchors
 from acfd.cli import main
 from acfd.matching import dam_match
@@ -28,6 +28,16 @@ ROW_MAJOR_GEMM_DETECT = (Path(__file__).parent / "data"
 
 def _without(d: dict, key: str) -> dict:
     return {k: v for k, v in d.items() if k != key}
+
+
+def _assert_matches_row_major_gemm(out: Path) -> None:
+    lines = [json.loads(l) for l in out.read_text().splitlines()]
+    before = [json.loads(l) for l in ROW_MAJOR_GEMM_DETECT.read_text().splitlines()]
+    assert len(lines) == len(before) == 100
+    for now, then in zip(lines, before):
+        assert now.keys() == then.keys() and now["image_id"] == then["image_id"]
+        for key in ("x1", "y1", "x2", "y2", "score"):
+            assert abs(now[key] - then[key]) <= 1e-3, (key, now, then)
 
 
 @pytest.fixture(scope="module")
@@ -162,6 +172,31 @@ class TestMatch:
         row = capsys.readouterr().out.splitlines()[-1].split()
         assert int(row[2]) == 0 and int(row[3]) == 0
 
+    @pytest.mark.parametrize("annotations, predictions", [
+        ([{"file": "a.ppm"}], []),
+        ([{"file": "a.ppm", "boxes": [[1.0, 2.0, 3.0, 4.0]]}], [{"file": "a.ppm"}]),
+        ({"file": "a.ppm", "boxes": []}, []),
+        ([{"file": "a.ppm", "boxes": []}], {"file": "a.ppm"}),
+        (["a.ppm"], []),
+        ([{"file": "a.ppm", "boxes": [1.0, 2.0, 3.0, 4.0, 5.0]}], []),
+        ([{"file": "a.ppm", "boxes": [[1.0, 2.0, 3.0]]}], []),
+        ([{"file": "a.ppm", "boxes": [["x", 2.0, 3.0, 4.0]]}], []),
+        ([{"file": "a.ppm", "boxes": [[1.0, 2.0], [3.0]]}], []),
+        ([{"file": ["a.ppm"], "boxes": []}], []),
+        ([], [{"file": "a.ppm", "boxes": [[1.0, 2.0, 3.0, 4.0]]}]),
+        ([], [{"file": "a.ppm", "boxes": [1.0, 2.0, 3.0]}]),
+    ], ids=["annotation-without-boxes", "prediction-without-boxes", "annotations-object",
+            "predictions-object", "entry-not-object", "five-numbers", "three-per-box",
+            "non-numeric", "ragged", "list-file", "one-box-not-one-per-anchor",
+            "prediction-three-numbers"])
+    def test_wrong_shape_is_one_line_io_error(self, tmp_path, capsys, annotations,
+                                              predictions):
+        ann, pred = self.write_inputs(tmp_path, annotations, predictions)
+        assert main(["match", str(ann), str(pred), "--image-size", "128x128"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("malformed input") and captured.err.count("\n") == 1
+
     def test_malformed_json(self, tmp_path):
         ann = tmp_path / "bad.json"
         ann.write_text("{not json")
@@ -190,13 +225,19 @@ class TestDetect:
 
     def test_worker_threads_preserve_output(self, ppm_image, tiny_container,
                                             tmp_path, monkeypatch):
-        serial, threaded = tmp_path / "serial.jsonl", tmp_path / "threaded.jsonl"
         args = ["detect", str(ppm_image), str(tiny_container),
-                "--scales", "128x128,256x256"]
-        assert main(args + ["--out", str(serial)]) == 0
-        monkeypatch.setenv("ACFD_THREADS", "2")
-        assert main(args + ["--out", str(threaded)]) == 0
-        assert serial.read_bytes() == threaded.read_bytes()
+                "--scales", "128x128,256x256,384x256"]
+        # the shipped column blocks, then one-row blocks, so scales that run
+        # at once each fill their own columns many times per conv
+        for block_bytes in (tensor_ops.COLS_BLOCK_BYTES, 1):
+            monkeypatch.setattr(tensor_ops, "COLS_BLOCK_BYTES", block_bytes)
+            outputs = set()
+            for threads in ("1", "2", "3"):
+                monkeypatch.setenv("ACFD_THREADS", threads)
+                out = tmp_path / f"{block_bytes}-{threads}.jsonl"
+                assert main(args + ["--out", str(out)]) == 0
+                outputs.add(out.read_bytes())
+            assert len(outputs) == 1
 
     def test_undecodable_image(self, tmp_path, tiny_container):
         bad = tmp_path / "bad.ppm"
@@ -275,13 +316,16 @@ class TestDetect:
         out = tmp_path / "golden.jsonl"
         assert main(["detect", str(ppm_image), str(fused_container),
                      "--out", str(out)]) == 0
-        lines = [json.loads(l) for l in out.read_text().splitlines()]
-        before = [json.loads(l) for l in ROW_MAJOR_GEMM_DETECT.read_text().splitlines()]
-        assert len(lines) == len(before) == 100
-        for now, then in zip(lines, before):
-            assert now.keys() == then.keys() and now["image_id"] == then["image_id"]
-            for key in ("x1", "y1", "x2", "y2", "score"):
-                assert abs(now[key] - then[key]) <= 1e-3, (key, now, then)
+        _assert_matches_row_major_gemm(out)
+
+    def test_one_row_conv_blocks_match_row_major_gemm(self, ppm_image, fused_container,
+                                                      tmp_path, monkeypatch):
+        # every im2col conv builds and multiplies one output row at a time
+        monkeypatch.setattr(tensor_ops, "COLS_BLOCK_BYTES", 1)
+        out = tmp_path / "one-row.jsonl"
+        assert main(["detect", str(ppm_image), str(fused_container),
+                     "--out", str(out)]) == 0
+        _assert_matches_row_major_gemm(out)
 
     def test_padded_scale_boxes_stay_in_source_frame(self, ppm_image,
                                                      tiny_container, tmp_path):

@@ -1,15 +1,26 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from acfd import tensor_ops
 from acfd.tensor_ops import (BNSpec, ConvSpec, ShapeError, batch_norm_infer,
                              concat_channels, conv2d, conv2d_direct,
                              conv_output_shape, global_avg_pool, linear,
                              max_pool2d, max_pool2d_direct, relu, resize_nearest,
                              sigmoid)
+
+
+def set_block_rows(monkeypatch, rows, x, spec):
+    """Make conv2d build its columns `rows` output rows at a time; None keeps
+    the shipped COLS_BLOCK_BYTES."""
+    if rows is not None:
+        ow = conv_output_shape(x.shape[3], spec.kw, spec.stride[1], spec.padding[1])
+        monkeypatch.setattr(tensor_ops, "COLS_BLOCK_BYTES",
+                            rows * x.shape[1] * spec.kh * spec.kw * ow * x.itemsize)
 
 
 def make_conv(weight, bias=None, stride=(1, 1), padding=(0, 0)):
@@ -71,45 +82,86 @@ class TestConv2d:
         np.testing.assert_allclose(conv2d(x, spec), conv2d_direct(x, spec),
                                    atol=1e-4, rtol=1e-4)
 
-    @pytest.mark.parametrize("n, ci, co, hw, kernel, stride, padding", [
-        (2, 3, 4, (5, 7), (1, 1), (1, 1), (0, 0)),
-        (1, 3, 2, (7, 6), (1, 1), (2, 2), (0, 0)),
-        (2, 2, 3, (7, 8), (3, 3), (2, 2), (1, 1)),
-        (1, 5, 1, (6, 7), (3, 3), (1, 1), (1, 1)),
-        (1, 5, 4, (6, 7), (3, 3), (1, 1), (1, 1)),
-        (1, 3, 2, (6, 5), (1, 3), (1, 1), (0, 1)),
-        (2, 3, 2, (6, 5), (3, 1), (1, 1), (1, 0)),
+    # rows: output rows per column block (None keeps COLS_BLOCK_BYTES)
+    @pytest.mark.parametrize("n, ci, co, hw, kernel, stride, padding, rows", [
+        (2, 3, 4, (5, 7), (1, 1), (1, 1), (0, 0), None),
+        (1, 3, 2, (7, 6), (1, 1), (2, 2), (0, 0), None),
+        (2, 2, 3, (7, 8), (3, 3), (2, 2), (1, 1), None),
+        (1, 5, 1, (6, 7), (3, 3), (1, 1), (1, 1), None),
+        (1, 5, 4, (6, 7), (3, 3), (1, 1), (1, 1), None),
+        (1, 3, 2, (6, 5), (1, 3), (1, 1), (0, 1), None),
+        (2, 3, 2, (6, 5), (3, 1), (1, 1), (1, 0), None),
+        (1, 5, 4, (6, 7), (3, 3), (1, 1), (1, 1), 1),
+        (1, 3, 2, (7, 6), (3, 3), (1, 1), (1, 1), 3),
+        (1, 3, 4, (9, 10), (3, 3), (2, 2), (1, 1), 2),
+        (1, 3, 2, (6, 5), (1, 3), (1, 1), (0, 1), 4),
+        (1, 3, 2, (6, 5), (3, 1), (1, 1), (1, 0), 4),
+        (1, 2, 3, (1, 6), (3, 3), (1, 1), (1, 1), 1),
+        (1, 2, 3, (6, 1), (3, 3), (1, 1), (1, 1), 4),
+        (1, 2, 2, (4, 5), (3, 3), (1, 2), (2, 2), 1),
+        (2, 3, 2, (5, 4), (3, 3), (1, 1), (1, 1), 2),
     ], ids=["1x1-n2", "1x1-stride2", "3x3-stride2-pad1", "head-out1", "head-out4",
-            "acb-1x3", "acb-3x1"])
+            "acb-1x3", "acb-3x1", "3x3-one-row-blocks", "3x3-blocks-not-dividing-h",
+            "stem-3x3-stride2-blocks", "acb-1x3-blocks", "acb-3x1-blocks",
+            "1xW-whole-taps-in-padding", "Hx1-whole-taps-in-padding",
+            "pad2-one-row-blocks", "n2-blocks"])
     def test_matches_direct_reference_at_named_shapes(self, n, ci, co, hw, kernel,
-                                                      stride, padding):
+                                                      stride, padding, rows,
+                                                      monkeypatch):
         rng = np.random.default_rng(11)
         x = rng.normal(size=(n, ci, *hw)).astype(np.float32)
         spec = make_conv(rng.normal(size=(co, ci, *kernel)), bias=rng.normal(size=co),
                          stride=stride, padding=padding)
+        set_block_rows(monkeypatch, rows, x, spec)
         out = conv2d(x, spec)
         assert out.dtype == np.float32 and out.flags.c_contiguous
         np.testing.assert_allclose(out, conv2d_direct(x, spec), atol=1e-4, rtol=1e-4)
 
-    @pytest.mark.parametrize("kernel", [(1, 1), (3, 3)])
-    def test_non_contiguous_input(self, kernel):
+    @pytest.mark.parametrize("kernel, rows", [
+        pytest.param((1, 1), None, id="kernel0"),
+        pytest.param((3, 3), None, id="kernel1"),
+        pytest.param((3, 3), 4, id="3x3-blocks-not-dividing-h"),
+    ])
+    def test_non_contiguous_input(self, kernel, rows, monkeypatch):
         rng = np.random.default_rng(12)
         x = rng.normal(size=(2, 6, 9, 12)).astype(np.float32)[:, ::2, 1:, ::-2]
         assert not x.flags.c_contiguous
         spec = make_conv(rng.normal(size=(2, 3, *kernel)), bias=rng.normal(size=2))
+        set_block_rows(monkeypatch, rows, x, spec)
         out = conv2d(x, spec)
         assert out.flags.c_contiguous
         np.testing.assert_allclose(out, conv2d_direct(x, spec), atol=1e-4, rtol=1e-4)
 
-    @pytest.mark.parametrize("kernel, stride", [((1, 1), (1, 1)), ((3, 3), (2, 1))])
-    def test_float64_stays_float64(self, kernel, stride):
+    @pytest.mark.parametrize("kernel, stride, rows", [
+        pytest.param((1, 1), (1, 1), None, id="kernel0-stride0"),
+        pytest.param((3, 3), (2, 1), None, id="kernel1-stride1"),
+        pytest.param((3, 3), (2, 1), 1, id="3x3-stride2-one-row-blocks"),
+    ])
+    def test_float64_stays_float64(self, kernel, stride, rows, monkeypatch):
         rng = np.random.default_rng(13)
         x = rng.normal(size=(2, 3, 7, 6))
         spec = ConvSpec(weight=rng.normal(size=(4, 3, *kernel)), bias=rng.normal(size=4),
                         stride=stride, padding=(1, 1))
+        set_block_rows(monkeypatch, rows, x, spec)
         out = conv2d(x, spec)
         assert out.dtype == np.float64 and out.flags.c_contiguous
         np.testing.assert_allclose(out, conv2d_direct(x, spec), atol=1e-10, rtol=0)
+
+    def test_columns_are_built_in_bounded_blocks(self):
+        # output (16.8 MB) + one block of columns + slack; whole columns would
+        # be 151 MB and a padded input copy another 17 MB
+        rng = np.random.default_rng(14)
+        x = rng.standard_normal((1, 64, 256, 256), dtype=np.float32)
+        spec = make_conv(rng.normal(size=(64, 64, 3, 3)), bias=rng.normal(size=64),
+                         padding=(1, 1))
+        tracemalloc.start()
+        try:
+            out = conv2d(x, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (1, 64, 256, 256)
+        assert peak < out.nbytes + tensor_ops.COLS_BLOCK_BYTES + 8 * 2**20
 
     def test_matches_scipy_correlate(self):
         scipy_signal = pytest.importorskip("scipy.signal")
