@@ -24,7 +24,7 @@ from .postprocess import (CONF_THRESHOLD, FINAL_TOP, GRID_MULTIPLE, NMS_IOU,
                           PER_SCALE_TOP, ScaleInfo, multi_scale_sizes, pad_to_grid,
                           postprocess)
 from .ppm import read_ppm
-from .tensor_ops import bilinear_resize
+from .tensor_ops import bilinear_resize, openblas_threads
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -32,20 +32,32 @@ EXIT_USAGE = 2
 EXIT_VERIFY = 3
 
 
-def _worker_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("ACFD_THREADS", "1")))
-    except ValueError:
-        return 1
+# Largest side of any HxW argument: a 4096x4096 test scale is already a
+# 200 MB float32 grid, and concurrent scales each hold their own
+MAX_SIDE = 4096
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 # argparse types: a value they reject exits 2 with the usage line
 
 def _parse_size(text: str) -> tuple[int, int]:
     h, _, w = text.lower().partition("x")
-    if not (h.isdecimal() and w.isdecimal() and int(h) > 0 and int(w) > 0):
-        raise argparse.ArgumentTypeError(f"expected HxW of positive integers, got {text!r}")
+    if not (h.isdecimal() and w.isdecimal() and 0 < int(h) <= MAX_SIDE
+            and 0 < int(w) <= MAX_SIDE):
+        raise argparse.ArgumentTypeError(
+            f"expected HxW of positive integers up to {MAX_SIDE}, got {text!r}")
     return int(h), int(w)
+
+
+def _positive_int(text: str) -> int:
+    if not (text.isdecimal() and int(text) > 0):
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
 
 
 def _grid_size(text: str) -> tuple[int, int]:
@@ -186,14 +198,44 @@ def _detect_one_scale(image: np.ndarray, m: model.DetectorModel,
                       scale_hw: tuple[int, int]) -> tuple:
     orig_h, orig_w = image.shape[2], image.shape[3]
     sh, sw = scale_hw
-    resized = bilinear_resize(image, (sh, sw))
     ph, pw = pad_to_grid((sh, sw))
-    padded = np.zeros((1, 3, ph, pw), dtype=resized.dtype)
-    padded[:, :, :sh, :sw] = resized
+    padded = np.zeros((1, 3, ph, pw), dtype=image.dtype)
+    bilinear_resize(image, (sh, sw), out=padded[:, :, :sh, :sw])
     output = model.forward(m, padded)
     info = ScaleInfo(padded_hw=(ph, pw), valid_hw=(sh, sw),
                      scale_xy=(sw / orig_w, sh / orig_h))
     return output, info
+
+
+def _detect_scales(image: np.ndarray, m: model.DetectorModel, scales: list) -> list:
+    """(output, info) per scale, in the order of `scales`.
+
+    Several scales run at once, one per usable CPU, each on a one-thread
+    OpenBLAS: small GEMMs gain little from a second BLAS thread, whose
+    spinning between them costs a whole CPU. One scale, one CPU or an
+    OpenBLAS without the thread-count hook runs serially on the BLAS thread
+    count as found.
+    """
+    workers = min(len(scales), _usable_cpus())
+    blas = None
+    if workers > 1:
+        try:
+            blas = openblas_threads()
+        except OSError as exc:
+            print(f"running scales serially: no OpenBLAS thread hook ({exc})",
+                  file=sys.stderr)
+    if blas is None:
+        return [_detect_one_scale(image, m, s) for s in scales]
+    # largest padded grid first, so the longest forward starts at once
+    order = sorted(range(len(scales)), key=lambda i: -np.prod(pad_to_grid(scales[i])))
+    found = blas.get()
+    blas.set(1)
+    try:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            futures = {i: pool.submit(_detect_one_scale, image, m, scales[i]) for i in order}
+        return [futures[i].result() for i in range(len(scales))]
+    finally:
+        blas.set(found)
 
 
 def cmd_detect(args) -> int:
@@ -207,19 +249,18 @@ def cmd_detect(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"cannot read {args.container}: {exc}", file=sys.stderr)
         return EXIT_IO
-    image = pixels.astype(np.float32).transpose(2, 0, 1)[None] / 255.0 - args.mean
+    # normalized in one NCHW buffer, in place: no full-size temporaries
+    image = np.empty((1, 3, *pixels.shape[:2]), dtype=np.float32)
+    image[0] = pixels.transpose(2, 0, 1)
+    del pixels
+    image /= 255.0
+    image -= args.mean
 
     if args.single_scale:
         scales = [args.single_scale]
     else:
         scales = args.scales or multi_scale_sizes()
-
-    threads = _worker_threads()
-    if threads > 1 and len(scales) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_scale = list(pool.map(lambda s: _detect_one_scale(image, m, s), scales))
-    else:
-        per_scale = [_detect_one_scale(image, m, s) for s in scales]
+    per_scale = _detect_scales(image, m, scales)
 
     detections = postprocess(per_scale, conf=args.conf, nms_iou=args.nms_iou,
                              per_scale_top=PER_SCALE_TOP, final_top=FINAL_TOP)
@@ -335,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="time unfused vs fused forward passes")
     p.add_argument("container")
-    p.add_argument("--repeats", type=int, default=20)
+    p.add_argument("--repeats", type=_positive_int, default=20)
     p.add_argument("--size", type=_grid_size, default="256x256")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--csv", action="store_true")

@@ -72,9 +72,10 @@ class AcbSpec:
 
 def acb_forward(x: np.ndarray, spec: AcbSpec) -> np.ndarray:
     """Sum of the three normalized branch outputs (the fusion oracle)."""
-    return (spec.square.forward(x)
-            + spec.horizontal.forward(x)
-            + spec.vertical.forward(x))
+    out = spec.square.forward(x)
+    out += spec.horizontal.forward(x)
+    out += spec.vertical.forward(x)
+    return out
 
 
 def fuse_conv_bn(conv: ConvSpec, bn: BNSpec) -> ConvSpec:

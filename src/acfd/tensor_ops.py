@@ -8,7 +8,11 @@ conv and the separable max pool are checked.
 """
 from __future__ import annotations
 
+import ctypes
+import functools
 from dataclasses import dataclass
+from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -98,8 +102,37 @@ class BNSpec:
         return a, b
 
 
-# Bytes of im2col columns conv2d builds per GEMM: whole output rows, at least one
-COLS_BLOCK_BYTES = 8 << 20
+# Bytes of im2col columns conv2d builds per GEMM: whole output rows, at least one.
+# Each concurrently running scale holds one block.
+COLS_BLOCK_BYTES = 4 << 20
+
+
+class BlasThreads(NamedTuple):
+    """Getter and setter of the process-wide thread count of numpy's OpenBLAS."""
+
+    get: Callable[[], int]
+    set: Callable[[int], None]
+
+
+@functools.cache
+def openblas_threads() -> BlasThreads:
+    """The thread-count hook of the OpenBLAS bundled in numpy.libs, by symbol name.
+
+    The setter changes the count for every thread, so callers restore it.
+    Raises OSError naming the library or symbol that is missing.
+    """
+    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*.so"))
+    if not libs:
+        raise OSError("numpy.libs holds no libscipy_openblas*.so")
+    lib = ctypes.CDLL(str(libs[0]))
+    try:
+        get = lib.scipy_openblas_get_num_threads64_
+        set_ = lib.scipy_openblas_set_num_threads64_
+    except AttributeError as exc:
+        raise OSError(f"{libs[0].name}: {exc}") from None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return BlasThreads(get, set_)
 
 
 def conv_output_shape(size: int, kernel: int, stride: int, pad: int) -> int:
@@ -207,11 +240,15 @@ def batch_norm_infer(x: np.ndarray, bn: BNSpec) -> np.ndarray:
     a, b = bn.scale_shift()
     a = a.astype(x.dtype).reshape(1, -1, 1, 1)
     b = b.astype(x.dtype).reshape(1, -1, 1, 1)
-    return x * a + b
+    out = x * a
+    out += b
+    return out
 
 
 def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0)
+    """Rectifies x in place and returns it: every caller passes an activation
+    it has just made and holds no other reference to."""
+    return np.maximum(x, 0, out=x)
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -333,12 +370,23 @@ def concat_channels(inputs: list[np.ndarray]) -> np.ndarray:
     return np.concatenate(inputs, axis=1)
 
 
-def bilinear_resize(image: np.ndarray, target: tuple[int, int]) -> np.ndarray:
-    """Half-pixel-centered bilinear resample of an NCHW tensor."""
-    h, w = image.shape[2], image.shape[3]
+def bilinear_resize(image: np.ndarray, target: tuple[int, int],
+                    out: np.ndarray | None = None) -> np.ndarray:
+    """Half-pixel-centered bilinear resample of an NCHW tensor.
+
+    Writes into ``out`` when given: an (n, c, *target) array or view, such as
+    the top-left corner of a zero-padded grid, which is returned. Each
+    (n, c) plane is resampled on its own, so the temporaries are plane-sized.
+    """
+    n, c, h, w = image.shape
     th, tw = target
+    if out is None:
+        out = np.empty((n, c, th, tw), dtype=image.dtype)
+    elif out.shape != (n, c, th, tw):
+        raise ShapeError(f"out has shape {out.shape}, expected {(n, c, th, tw)}")
     if (th, tw) == (h, w):
-        return image.copy()
+        out[...] = image
+        return out
     sy = np.clip((np.arange(th) + 0.5) * h / th - 0.5, 0, h - 1)
     sx = np.clip((np.arange(tw) + 0.5) * w / tw - 0.5, 0, w - 1)
     y0 = np.floor(sy).astype(int)
@@ -348,11 +396,22 @@ def bilinear_resize(image: np.ndarray, target: tuple[int, int]) -> np.ndarray:
     fy = (sy - y0).astype(image.dtype)[:, None]
     fx = (sx - x0).astype(image.dtype)
     # lerp each source row along x once, then lerp rows y0 and y1 of that;
-    # every output pixel gets the same products and sums as the 2-D gather
-    rows = np.take(image, x0, axis=3)
-    rows *= 1 - fx
-    rows += np.take(image, x1, axis=3) * fx
-    out = rows[:, :, y0]
-    out *= 1 - fy
-    out += rows[:, :, y1] * fy
+    # every output pixel gets the same products and sums as the 2-D gather.
+    # The indices are in range, so mode="clip" only lets take write into out
+    # without a buffered copy.
+    rows = np.empty((h, tw), dtype=image.dtype)
+    right = np.empty_like(rows)
+    below = np.empty((th, tw), dtype=image.dtype)
+    for b in range(n):
+        for ch in range(c):
+            np.take(image[b, ch], x0, axis=1, out=rows, mode="clip")
+            rows *= 1 - fx
+            np.take(image[b, ch], x1, axis=1, out=right, mode="clip")
+            right *= fx
+            rows += right
+            np.take(rows, y0, axis=0, out=below, mode="clip")
+            np.multiply(below, 1 - fy, out=out[b, ch])
+            np.take(rows, y1, axis=0, out=below, mode="clip")
+            below *= fy
+            out[b, ch] += below
     return out

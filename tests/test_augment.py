@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -141,12 +143,35 @@ class TestBilinearResize:
         ((2, 3, 13, 17), (31, 7), np.float32),
         ((1, 2, 1, 9), (5, 4), np.float32),
         ((2, 3, 13, 17), (29, 41), np.float64),
+        ((1, 3, 96, 128), (96, 128), np.float32),
     ])
     def test_bit_identical_to_the_2d_gather(self, shape, target, dtype):
         image = np.random.default_rng(5).uniform(0, 1, shape).astype(dtype)
+        expected = _bilinear_reference(image, target).tobytes()
         out = bilinear_resize(image, target)
         assert out.dtype == dtype
-        assert out.tobytes() == _bilinear_reference(image, target).tobytes()
+        assert out.tobytes() == expected
+        # into the top-left corner of a larger zero-filled grid, as detect pads
+        th, tw = target
+        grid = np.zeros((*shape[:2], th + 5, tw + 7), dtype=dtype)
+        out = bilinear_resize(image, target, out=grid[:, :, :th, :tw])
+        assert np.shares_memory(out, grid) and out.tobytes() == expected
+        assert not grid[:, :, th:].any() and not grid[:, :, :, tw:].any()
+
+    def test_resize_into_grid_holds_plane_sized_temporaries(self):
+        # a 766x928 image into its 800x1075 corner of an 896x1152 grid: three
+        # plane-sized buffers (~9.7 MiB); whole-map temporaries and a copy
+        # into the grid would be ~39 MiB
+        image = np.random.default_rng(8).uniform(0, 1, (1, 3, 766, 928)).astype(np.float32)
+        grid = np.zeros((1, 3, 896, 1152), dtype=np.float32)
+        tracemalloc.start()
+        try:
+            bilinear_resize(image, (800, 1075), out=grid[:, :, :800, :1075])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert grid[:, :, :800, :1075].all()
+        assert peak < 4 * 800 * 1075 * image.itemsize
 
 
 def _bilinear_reference(image, target):

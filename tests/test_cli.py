@@ -9,9 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from acfd import container, tensor_ops
+from acfd import cli, container, model, tensor_ops
 from acfd.anchors import generate_anchors
-from acfd.cli import main
+from acfd.cli import build_parser, main
 from acfd.matching import dam_match
 from acfd.model import build_model, fuse_model, tiny_config
 from acfd.ppm import write_ppm
@@ -52,6 +52,21 @@ def fused_container(tmp_path_factory, tiny_container):
     path = tmp_path_factory.mktemp("weights") / "tiny-fused.acfd"
     container.save_file(fuse_model(container.load_file(tiny_container)), path)
     return path
+
+
+@pytest.fixture()
+def blas():
+    """numpy's OpenBLAS thread hook, its count restored afterwards; None if missing."""
+    try:
+        hook = tensor_ops.openblas_threads()
+    except OSError:
+        yield None
+        return
+    found = hook.get()
+    try:
+        yield hook
+    finally:
+        hook.set(found)
 
 
 @pytest.fixture()
@@ -223,7 +238,7 @@ class TestDetect:
                      "--single-scale", "128x128"]) == 0
         capsys.readouterr()
 
-    def test_worker_threads_preserve_output(self, ppm_image, tiny_container,
+    def test_worker_threads_preserve_output(self, ppm_image, tiny_container, blas,
                                             tmp_path, monkeypatch):
         args = ["detect", str(ppm_image), str(tiny_container),
                 "--scales", "128x128,256x256,384x256"]
@@ -232,12 +247,70 @@ class TestDetect:
         for block_bytes in (tensor_ops.COLS_BLOCK_BYTES, 1):
             monkeypatch.setattr(tensor_ops, "COLS_BLOCK_BYTES", block_bytes)
             outputs = set()
-            for threads in ("1", "2", "3"):
-                monkeypatch.setenv("ACFD_THREADS", threads)
-                out = tmp_path / f"{block_bytes}-{threads}.jsonl"
-                assert main(args + ["--out", str(out)]) == 0
-                outputs.add(out.read_bytes())
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(cli, "_usable_cpus", lambda: workers)
+                for threads in ((1, 2) if blas else (None,)):
+                    if blas:
+                        blas.set(threads)
+                    out = tmp_path / f"{block_bytes}-{workers}-{threads}.jsonl"
+                    assert main(args + ["--out", str(out)]) == 0
+                    outputs.add(out.read_bytes())
             assert len(outputs) == 1
+
+    def test_blas_thread_count_is_restored(self, ppm_image, tiny_container, blas,
+                                           monkeypatch, capsys):
+        if blas is None:
+            pytest.skip("numpy's OpenBLAS has no thread hook")
+        args = ["detect", str(ppm_image), str(tiny_container),
+                "--scales", "128x128,256x256,384x256"]
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        forward, seen = model.forward, []
+
+        def counting_forward(m, image):
+            seen.append(blas.get())
+            return forward(m, image)
+        monkeypatch.setattr(model, "forward", counting_forward)
+        for threads in (2, 3):
+            blas.set(threads)
+            assert main(args) == 0
+            assert blas.get() == threads
+        assert seen == [1] * 6
+
+        def failing_forward(m, image):
+            if image.shape[2] == 256:
+                raise RuntimeError("forward failed")
+            return forward(m, image)
+        monkeypatch.setattr(model, "forward", failing_forward)
+        with pytest.raises(RuntimeError, match="forward failed"):
+            main(args)
+        assert blas.get() == 3
+        capsys.readouterr()
+
+    def test_concurrent_scales_return_in_scale_order(self, tiny_container, monkeypatch):
+        # submitted largest padded grid first; postprocess merges in scale order
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        scales = [(128, 128), (384, 256), (256, 256)]
+        per_scale = cli._detect_scales(np.zeros((1, 3, 96, 128), dtype=np.float32),
+                                       container.load_file(tiny_container), scales)
+        assert [info.valid_hw for _, info in per_scale] == scales
+
+    def test_missing_blas_hook_runs_serially(self, ppm_image, tiny_container, tmp_path,
+                                             monkeypatch, capsys):
+        args = ["detect", str(ppm_image), str(tiny_container),
+                "--scales", "128x128,256x256,384x256"]
+        serial, fallback = tmp_path / "serial.jsonl", tmp_path / "fallback.jsonl"
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+        assert main(args + ["--out", str(serial)]) == 0
+
+        def missing_hook():
+            raise OSError("libscipy_openblas.so: undefined symbol")
+        monkeypatch.setattr(cli, "openblas_threads", missing_hook)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", None)  # any pool would fail
+        assert main(args + ["--out", str(fallback)]) == 0
+        assert fallback.read_bytes() == serial.read_bytes()
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "undefined symbol" in err
 
     def test_undecodable_image(self, tmp_path, tiny_container):
         bad = tmp_path / "bad.ppm"
@@ -382,6 +455,13 @@ class TestBench:
     ["detect", "x.ppm", "w.acfd", "--scales", "128x128,12"],
     ["match", "a.json", "p.json", "--image-size", "100x100"],
     ["match", "a.json", "p.json", "--t1", "0.35,foo"],
+    ["bench", "w.acfd", "--repeats", "0"],
+    ["bench", "w.acfd", "--repeats", "-3"],
+    ["bench", "w.acfd", "--size", "4224x128"],
+    ["detect", "x.ppm", "w.acfd", "--single-scale", "100000x100000"],
+    ["detect", "x.ppm", "w.acfd", "--single-scale", "20000x20000"],
+    ["detect", "x.ppm", "w.acfd", "--scales", "480x645,640x4097"],
+    ["match", "a.json", "p.json", "--image-size", "8192x8192"],
 ])
 def test_malformed_argument_is_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -389,6 +469,12 @@ def test_malformed_argument_is_usage_error(argv, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("usage:") and "error: argument" in err.splitlines()[-1]
+
+
+def test_largest_size_is_accepted():
+    args = build_parser().parse_args(["detect", "x.ppm", "w.acfd", "--single-scale",
+                                      f"{cli.MAX_SIDE}x{cli.MAX_SIDE}"])
+    assert args.single_scale == (cli.MAX_SIDE, cli.MAX_SIDE)
 
 
 def test_console_entry_point_runs():
