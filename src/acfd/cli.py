@@ -211,10 +211,11 @@ def _detect_scales(image: np.ndarray, m: model.DetectorModel, scales: list) -> l
     """(output, info) per scale, in the order of `scales`.
 
     Several scales run at once, one per usable CPU, each on a one-thread
-    OpenBLAS: small GEMMs gain little from a second BLAS thread, whose
-    spinning between them costs a whole CPU. One scale, one CPU or an
-    OpenBLAS without the thread-count hook runs serially on the BLAS thread
-    count as found.
+    OpenBLAS: a second BLAS thread spins between GEMMs, so one scale at a
+    time on two threads was slower for the tiny and the full model alike.
+    Scales that run at once each hold their own activations, which raises
+    peak memory. One scale, one CPU or an OpenBLAS without the thread-count
+    hook runs serially on the BLAS thread count as found.
     """
     workers = min(len(scales), _usable_cpus())
     blas = None

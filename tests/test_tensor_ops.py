@@ -220,7 +220,8 @@ class TestBatchNorm:
 class TestActivations:
     def test_relu_values(self):
         x = np.array([[[[-1.5, 2.25, 0.0]]]], dtype=np.float32)
-        np.testing.assert_array_equal(relu(x), [[[[0.0, 2.25, 0.0]]]])
+        assert relu(x) is x
+        np.testing.assert_array_equal(x, [[[[0.0, 2.25, 0.0]]]])
 
     def test_sigmoid_zero(self):
         assert sigmoid(np.zeros((1, 1, 1, 1)))[0, 0, 0, 0] == 0.5
@@ -379,6 +380,8 @@ def test_all_ops_preserve_finiteness():
     bn = BNSpec(mean=rng.normal(size=4), var=rng.uniform(0.1, 2.0, 4),
                 gamma=rng.normal(size=4), beta=rng.normal(size=4))
     out = batch_norm_infer(conv2d(x, spec), bn)
-    for t in (out, relu(out), sigmoid(out), max_pool2d(out, (3, 3), (2, 2), (1, 1)),
-              global_avg_pool(out), resize_nearest(out, (5, 5))):
+    # relu rectifies in place, so it gets a copy and the other ops see out
+    for t in (out, relu(out.copy()), sigmoid(out),
+              max_pool2d(out, (3, 3), (2, 2), (1, 1)), global_avg_pool(out),
+              resize_nearest(out, (5, 5))):
         assert np.all(np.isfinite(t))
