@@ -20,9 +20,8 @@ import numpy as np
 from . import container, model, verify
 from .matching import dam_match
 from .anchors import generate_anchors
-from .postprocess import (CONF_THRESHOLD, FINAL_TOP, GRID_MULTIPLE, NMS_IOU,
-                          PER_SCALE_TOP, ScaleInfo, multi_scale_sizes, pad_to_grid,
-                          postprocess)
+from .postprocess import (CONF_THRESHOLD, GRID_MULTIPLE, NMS_IOU, ScaleInfo,
+                          multi_scale_sizes, pad_to_grid, postprocess)
 from .ppm import read_ppm
 from .tensor_ops import bilinear_resize, openblas_threads
 
@@ -263,13 +262,12 @@ def cmd_detect(args) -> int:
         scales = args.scales or multi_scale_sizes()
     per_scale = _detect_scales(image, m, scales)
 
-    detections = postprocess(per_scale, conf=args.conf, nms_iou=args.nms_iou,
-                             per_scale_top=PER_SCALE_TOP, final_top=FINAL_TOP)
+    boxes, scores = postprocess(per_scale, conf=args.conf, nms_iou=args.nms_iou)
     image_id = Path(args.image).stem
     lines = [
-        f'{{"image_id": "{image_id}", "x1": {d.box[0]:.4f}, "y1": {d.box[1]:.4f}, '
-        f'"x2": {d.box[2]:.4f}, "y2": {d.box[3]:.4f}, "score": {d.score:.4f}}}'
-        for d in detections
+        f'{{"image_id": "{image_id}", "x1": {x1:.4f}, "y1": {y1:.4f}, '
+        f'"x2": {x2:.4f}, "y2": {y2:.4f}, "score": {score:.4f}}}'
+        for (x1, y1, x2, y2), score in zip(boxes.tolist(), scores.tolist())
     ]
     text = "\n".join(lines) + ("\n" if lines else "")
     if args.out:

@@ -1,4 +1,4 @@
-"""IoU and the two-step dynamic anchor match.
+"""IoU matrix and the two-step dynamic anchor match.
 
 Step one assigns anchors whose best ground-truth IoU clears T1 (label 1).
 Anchors that fail step one get a second chance through their regressed
@@ -13,16 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .anchors import AnchorSet, encode
-
-
-def iou(a: np.ndarray, b: np.ndarray) -> float:
-    """IoU of two corner-form boxes; 0 when the union is empty."""
-    ix = max(0.0, min(a[2], b[2]) - max(a[0], b[0]))
-    iy = max(0.0, min(a[3], b[3]) - max(a[1], b[1]))
-    inter = ix * iy
-    union = ((a[2] - a[0]) * (a[3] - a[1])
-             + (b[2] - b[0]) * (b[3] - b[1]) - inter)
-    return float(inter / union) if union > 0 else 0.0
 
 
 def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -3,7 +3,8 @@
 Per test scale: sigmoid the logits, drop scores at or below the confidence
 floor, keep the top 1000, decode boxes and map them back into the original
 image frame. The merged pool then runs greedy NMS at IoU 0.55, which stops
-at the 100th kept detection.
+at the 100th kept detection. Detections stay as parallel arrays throughout:
+corner-form boxes (k, 4) in original-image pixels and scores (k,).
 """
 from __future__ import annotations
 
@@ -22,12 +23,6 @@ FINAL_TOP = 100
 GRID_MULTIPLE = 128
 
 TEST_SCALES = ((480, 645), (640, 860), (800, 1075))
-
-
-@dataclass(eq=False)  # identity equality; box is an ndarray
-class Detection:
-    box: np.ndarray  # (4,) corner form, original-image pixels
-    score: float
 
 
 @dataclass
@@ -56,22 +51,20 @@ def pad_to_grid(hw: tuple[int, int]) -> tuple[int, int]:
     return pad(h), pad(w)
 
 
-def nms(dets: list[Detection], iou_thresh: float = NMS_IOU,
-        top: int | None = None) -> list[Detection]:
-    """Greedy score-descending suppression, stable tie-break by input index.
+def nms(boxes: np.ndarray, scores: np.ndarray, iou_thresh: float = NMS_IOU,
+        top: int | None = None) -> np.ndarray:
+    """Indices of the kept boxes, greedy score-descending suppression with a
+    stable tie-break by input index.
 
     Each box is decided by higher-scored boxes only, so stopping after ``top``
     keeps gives the first ``top`` of the full result. IoU is computed one
     kept box's row at a time; the N x N matrix is never built.
     """
-    limit = len(dets) if top is None else max(top, 0)
-    if len(dets) <= 1:
-        return list(dets[:limit])
-    boxes = np.stack([d.box for d in dets]).astype(np.float64)
-    scores = np.array([d.score for d in dets], dtype=np.float64)
-    order = np.argsort(-scores, kind="stable")
+    boxes = np.asarray(boxes, dtype=np.float64)
+    limit = len(boxes) if top is None else max(top, 0)
+    order = np.argsort(-np.asarray(scores), kind="stable")
     keep = []
-    alive = np.ones(len(dets), dtype=bool)
+    alive = np.ones(len(boxes), dtype=bool)
     for i in order:
         if len(keep) == limit:
             break
@@ -80,68 +73,67 @@ def nms(dets: list[Detection], iou_thresh: float = NMS_IOU,
         keep.append(i)
         alive &= iou_matrix(boxes[i:i + 1], boxes)[0] <= iou_thresh
         alive[i] = False
-    return [dets[i] for i in keep]
+    return np.array(keep, dtype=np.intp)
 
 
 def _per_scale_detections(output: HeadOutput, info: ScaleInfo,
-                          conf: float, top: int) -> list[Detection]:
+                          conf: float, top: int) -> tuple[np.ndarray, np.ndarray]:
     probs = sigmoid(output.flat_cls())[0]
-    deltas = output.flat_reg()[0]
     keep = np.flatnonzero(probs > conf)
-    if keep.size == 0:
-        return []
-    if keep.size > top:
-        # stable partial sort: highest scores, ties by anchor index
-        order = keep[np.argsort(-probs[keep], kind="stable")[:top]]
-    else:
-        order = keep[np.argsort(-probs[keep], kind="stable")]
+    # stable sort: highest scores first, ties by anchor index
+    order = keep[np.argsort(-probs[keep], kind="stable")[:top]]
     anchors = generate_anchors(info.padded_hw)
-    boxes = decode(anchors.boxes[order], deltas[order])
+    boxes = decode(anchors.boxes[order], output.flat_reg()[0][order])
     vh, vw = info.valid_hw
     boxes[:, 0::2] = boxes[:, 0::2].clip(0, vw)
     boxes[:, 1::2] = boxes[:, 1::2].clip(0, vh)
     sx, sy = info.scale_xy
     boxes[:, 0::2] /= sx
     boxes[:, 1::2] /= sy
-    return [Detection(box=b, score=float(s)) for b, s in zip(boxes, probs[order])]
+    return boxes, probs[order]
 
 
 def postprocess(per_scale_outputs: list[tuple[HeadOutput, ScaleInfo]],
                 conf: float = CONF_THRESHOLD,
                 per_scale_top: int = PER_SCALE_TOP,
                 nms_iou: float = NMS_IOU,
-                final_top: int = FINAL_TOP) -> list[Detection]:
-    merged: list[Detection] = []
-    for output, info in per_scale_outputs:
-        merged.extend(_per_scale_detections(output, info, conf, per_scale_top))
-    return nms(merged, nms_iou, final_top)
+                final_top: int = FINAL_TOP) -> tuple[np.ndarray, np.ndarray]:
+    """The kept (boxes (k, 4), scores (k,)) of all scales, highest score first."""
+    per_scale = [_per_scale_detections(output, info, conf, per_scale_top)
+                 for output, info in per_scale_outputs]
+    boxes = np.concatenate([b for b, _ in per_scale])
+    scores = np.concatenate([s for _, s in per_scale])
+    keep = nms(boxes, scores, nms_iou, final_top)
+    return boxes[keep], scores[keep]
 
 
-def evaluate_ap(gts: list[np.ndarray], dets: list[list[Detection]],
+def evaluate_ap(gts: list[np.ndarray], dets: list[tuple[np.ndarray, np.ndarray]],
                 iou_thresh: float = 0.5) -> float:
     """Single-class AP at the given IoU, all-point interpolation.
 
-    Detections are swept in global score-descending order; each ground truth
-    may satisfy one detection. Zero ground truths: AP is 1.0 when there are
-    also no detections, else 0.0.
+    ``dets`` holds one (boxes (k, 4), scores (k,)) pair per image. Detections
+    are swept in global score-descending order; each ground truth may satisfy
+    one detection. Zero ground truths: AP is 1.0 when there are also no
+    detections, else 0.0.
     """
     total_gt = sum(len(g) for g in gts)
-    flat = [(d.score, img, d) for img, img_dets in enumerate(dets) for d in img_dets]
+    boxes = np.concatenate([np.zeros((0, 4)), *(np.reshape(b, (-1, 4)) for b, _ in dets)])
+    scores = np.concatenate([np.zeros(0), *(np.reshape(s, -1) for _, s in dets)])
+    image = np.repeat(np.arange(len(dets)), [np.size(s) for _, s in dets])
     if total_gt == 0:
-        return 1.0 if not flat else 0.0
-    if not flat:
+        return 1.0 if not len(scores) else 0.0
+    if not len(scores):
         return 0.0
 
-    scores = np.array([f[0] for f in flat])
     order = np.argsort(-scores, kind="stable")
     matched = [np.zeros(len(g), dtype=bool) for g in gts]
-    tp = np.zeros(len(flat))
+    tp = np.zeros(len(scores))
     for rank, idx in enumerate(order):
-        _, img, det = flat[idx]
+        img = image[idx]
         gt_boxes = np.asarray(gts[img], dtype=np.float64).reshape(-1, 4)
         if gt_boxes.shape[0] == 0:
             continue
-        overlaps = iou_matrix(det.box[None, :], gt_boxes)[0]
+        overlaps = iou_matrix(boxes[idx:idx + 1], gt_boxes)[0]
         best = int(overlaps.argmax())
         if overlaps[best] >= iou_thresh and not matched[img][best]:
             matched[img][best] = True

@@ -6,6 +6,12 @@ import os
 import numpy as np
 
 
+# Longest header field read: a 20-digit width is already far past any image
+# this reader can hold, and a bound keeps a garbage header from growing the
+# token without limit
+MAX_TOKEN_BYTES = 20
+
+
 def _read_token(fh) -> bytes:
     # skip whitespace and '#' comments between header fields
     token = b""
@@ -21,6 +27,8 @@ def _read_token(fh) -> bytes:
             if token:
                 return token
             continue
+        if len(token) == MAX_TOKEN_BYTES:
+            raise ValueError(f"PPM header field longer than {MAX_TOKEN_BYTES} bytes")
         token += ch
 
 

@@ -171,18 +171,14 @@ def check_nms_oracle(rng: np.random.Generator, trials: int = 30) -> CheckResult:
         wh = rng.uniform(2, 30, size=(n, 2))
         boxes = np.concatenate([xy, xy + wh], axis=1)
         scores = rng.uniform(0, 1, size=n)
-        dets = [postprocess.Detection(box=b, score=float(s))
-                for b, s in zip(boxes, scores)]
-        got = postprocess.nms(dets, 0.55)
+        got = postprocess.nms(boxes, scores, 0.55).tolist()
         ref = nms_reference(boxes, scores, 0.55)
-        idx_of = {id(d): i for i, d in enumerate(dets)}
-        got_idx = [idx_of[id(d)] for d in got]
-        if got_idx != ref:
-            return CheckResult("nms-oracle", False, f"kept {got_idx} vs {ref}")
+        if got != ref:
+            return CheckResult("nms-oracle", False, f"kept {got} vs {ref}")
         top = len(ref) // 2  # greedy suppression cut at the top-th keep
-        cut_idx = [idx_of[id(d)] for d in postprocess.nms(dets, 0.55, top)]
-        if cut_idx != ref[:top]:
-            return CheckResult("nms-oracle", False, f"top {top}: kept {cut_idx} vs {ref[:top]}")
+        cut = postprocess.nms(boxes, scores, 0.55, top).tolist()
+        if cut != ref[:top]:
+            return CheckResult("nms-oracle", False, f"top {top}: kept {cut} vs {ref[:top]}")
     return CheckResult("nms-oracle", True, f"{trials} random sets agree, uncut and cut")
 
 

@@ -181,11 +181,8 @@ def test_09_nms_oracle_and_postprocess_constants():
         xy = rng.uniform(0, 100, size=(n, 2))
         boxes = np.concatenate([xy, xy + rng.uniform(2, 50, size=(n, 2))], axis=1)
         scores = rng.uniform(0, 1, size=n)
-        dets = [postprocess.Detection(box=b, score=float(s))
-                for b, s in zip(boxes, scores)]
-        kept = postprocess.nms(dets, 0.55)
-        idx_of = {id(d): i for i, d in enumerate(dets)}
-        if [idx_of[id(d)] for d in kept] != nms_reference(boxes, scores, 0.55):
+        kept = postprocess.nms(boxes, scores, 0.55)
+        if kept.tolist() != nms_reference(boxes, scores, 0.55):
             agree = False
             break
     constants_ok = (postprocess.CONF_THRESHOLD == 0.08
@@ -198,21 +195,20 @@ def test_09_nms_oracle_and_postprocess_constants():
         out.cls.append(np.full((1, 1, h, w), 3.0, dtype=np.float32))
         out.reg.append(np.zeros((1, 4, h, w), dtype=np.float32))
     info = postprocess.ScaleInfo((128, 128), (128, 128), (1.0, 1.0))
-    dets = postprocess.postprocess([(out, info)])
-    capped = len(dets) <= 100
+    _, scores = postprocess.postprocess([(out, info)])
+    capped = len(scores) <= 100
     report(9, "nms-oracle-postprocess", agree and constants_ok and capped,
-           f"oracle agree={agree}, constants={constants_ok}, {len(dets)} final dets")
+           f"oracle agree={agree}, constants={constants_ok}, {len(scores)} final dets")
 
 
 def test_10_ap_evaluator():
     gts = [np.array([[0.0, 0.0, 10.0, 10.0], [20.0, 20.0, 30.0, 30.0]])]
-    dets = [[postprocess.Detection(np.array([0.0, 0.0, 10.0, 10.0]), 0.9),
-             postprocess.Detection(np.array([50.0, 50.0, 60.0, 60.0]), 0.8),
-             postprocess.Detection(np.array([20.0, 20.0, 30.0, 30.0]), 0.7)]]
+    dets = [(np.array([[0.0, 0.0, 10.0, 10.0], [50.0, 50.0, 60.0, 60.0],
+                       [20.0, 20.0, 30.0, 30.0]]), np.array([0.9, 0.8, 0.7]))]
     fixture = postprocess.evaluate_ap(gts, dets)
     perfect = postprocess.evaluate_ap(
         [np.array([[0.0, 0.0, 10.0, 10.0]])],
-        [[postprocess.Detection(np.array([0.0, 0.0, 10.0, 10.0]), 0.9)]])
+        [(np.array([[0.0, 0.0, 10.0, 10.0]]), np.array([0.9]))])
     ok = abs(fixture - 0.8333) <= 1e-4 and perfect == 1.0
     report(10, "ap-evaluator", ok, f"fixture {fixture:.4f}, perfect {perfect}")
 

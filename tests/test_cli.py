@@ -312,6 +312,25 @@ class TestDetect:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "undefined symbol" in err
 
+    def test_huge_header_token_is_one_line_io_error_at_once(self, tmp_path,
+                                                            tiny_container):
+        # a 1 MB width: growing the token byte by byte would take seconds
+        bad = tmp_path / "wide.ppm"
+        bad.write_bytes(b"P6\n" + b"9" * 2**20 + b" 4\n255\n")
+        proc = subprocess.run([sys.executable, "-m", "acfd.cli", "detect", str(bad),
+                               str(tiny_container)], capture_output=True, text=True,
+                              timeout=5)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("cannot decode") and proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
+
+    def test_no_detection_over_the_floor_writes_nothing(self, ppm_image,
+                                                        fused_container, capsys):
+        # no sigmoid exceeds 1, so every scale hands NMS zero candidates
+        assert main(["detect", str(ppm_image), str(fused_container),
+                     "--conf", "1"]) == 0
+        assert capsys.readouterr().out == ""
+
     def test_undecodable_image(self, tmp_path, tiny_container):
         bad = tmp_path / "bad.ppm"
         bad.write_bytes(b"P3\n1 1\n255\n0 0 0\n")

@@ -5,16 +5,18 @@ import pytest
 
 from acfd.anchors import HeadOutput, generate_anchors
 from acfd.matching import iou_matrix
-from acfd.postprocess import (Detection, ScaleInfo, evaluate_ap,
-                              multi_scale_sizes, nms, pad_to_grid, postprocess)
+from acfd.postprocess import (ScaleInfo, evaluate_ap, multi_scale_sizes, nms,
+                              pad_to_grid, postprocess)
 from acfd.tensor_ops import sigmoid
 from acfd.verify import nms_reference
 
 LEVEL_DIMS_128 = [(32, 32), (16, 16), (8, 8), (4, 4), (2, 2), (1, 1)]
 
 
-def det(x1, y1, x2, y2, score):
-    return Detection(box=np.array([x1, y1, x2, y2], dtype=np.float64), score=score)
+def dets(*rows):
+    """(boxes, scores) arrays from (x1, y1, x2, y2, score) rows."""
+    table = np.array(rows, dtype=np.float64).reshape(-1, 5)
+    return table[:, :4], table[:, 4]
 
 
 def blank_output(dims=LEVEL_DIMS_128, logit=-20.0):
@@ -30,25 +32,24 @@ def identity_info(hw):
 
 
 class TestNms:
+    def test_no_boxes(self):
+        keep = nms(np.zeros((0, 4)), np.zeros(0), 0.55)
+        assert keep.shape == (0,) and keep.dtype.kind == "i"
+
     def test_single_detection(self):
-        d = det(0, 0, 10, 10, 0.5)
-        assert nms([d], 0.55) == [d]
-        assert nms([d], 0.55, 0) == []
+        one = dets((0, 0, 10, 10, 0.5))
+        assert nms(*one, 0.55).tolist() == [0]
+        assert nms(*one, 0.55, 0).tolist() == []
 
     def test_identical_boxes_keep_highest(self):
-        a = det(0, 0, 10, 10, 0.9)
-        b = det(0, 0, 10, 10, 0.8)
-        assert nms([b, a], 0.55) == [a]
+        assert nms(*dets((0, 0, 10, 10, 0.8), (0, 0, 10, 10, 0.9)), 0.55).tolist() == [1]
 
     def test_disjoint_both_kept(self):
-        a = det(0, 0, 10, 10, 0.9)
-        b = det(20, 20, 30, 30, 0.8)
-        assert nms([a, b], 0.55) == [a, b]
+        assert nms(*dets((0, 0, 10, 10, 0.9), (20, 20, 30, 30, 0.8)),
+                   0.55).tolist() == [0, 1]
 
     def test_tie_break_by_input_index(self):
-        a = det(0, 0, 10, 10, 0.9)
-        b = det(0, 0, 10, 10, 0.9)
-        assert nms([a, b], 0.55) == [a]
+        assert nms(*dets((0, 0, 10, 10, 0.9), (0, 0, 10, 10, 0.9)), 0.55).tolist() == [0]
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_brute_force(self, seed):
@@ -58,10 +59,7 @@ class TestNms:
         wh = rng.uniform(2, 40, size=(n, 2))
         boxes = np.concatenate([xy, xy + wh], axis=1)
         scores = rng.uniform(0, 1, size=n)
-        dets = [det(*b, s) for b, s in zip(boxes, scores)]
-        got = nms(dets, 0.55)
-        ref = nms_reference(boxes, scores, 0.55)
-        assert [dets.index(d) for d in got] == ref
+        assert nms(boxes, scores, 0.55).tolist() == nms_reference(boxes, scores, 0.55)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_cut_is_a_prefix_of_the_full_result(self, seed):
@@ -71,23 +69,18 @@ class TestNms:
         wh = rng.uniform(2, 40, size=(n, 2))
         boxes = np.concatenate([xy, xy + wh], axis=1)
         scores = rng.uniform(0, 1, size=n)
-        dets = [det(*b, s) for b, s in zip(boxes, scores)]
-        full = nms(dets, 0.55)
         ref = nms_reference(boxes, scores, 0.55)
-        assert [dets.index(d) for d in full] == ref
+        assert nms(boxes, scores, 0.55).tolist() == ref
         for k in (0, 1, 7, n, n + 5):
-            got = nms(dets, 0.55, k)
-            assert got == full[:k]
-            assert [dets.index(d) for d in got] == ref[:k]
-        assert nms(dets, 0.55, -3) == []
+            assert nms(boxes, scores, 0.55, k).tolist() == ref[:k]
+        assert nms(boxes, scores, 0.55, -3).tolist() == []
 
     def test_output_is_suppression_free(self):
         rng = np.random.default_rng(11)
         xy = rng.uniform(0, 50, size=(60, 2))
         wh = rng.uniform(5, 25, size=(60, 2))
         boxes = np.concatenate([xy, xy + wh], axis=1)
-        kept = nms([det(*b, s) for b, s in zip(boxes, rng.uniform(0, 1, 60))], 0.55)
-        kept_boxes = np.stack([d.box for d in kept])
+        kept_boxes = boxes[nms(boxes, rng.uniform(0, 1, 60), 0.55)]
         ious = iou_matrix(kept_boxes, kept_boxes)
         np.fill_diagonal(ious, 0.0)
         assert ious.max() <= 0.55
@@ -95,8 +88,8 @@ class TestNms:
 
 class TestPostprocess:
     def test_all_low_logits_empty(self):
-        out = postprocess([(blank_output(), identity_info((128, 128)))])
-        assert out == []
+        boxes, scores = postprocess([(blank_output(), identity_info((128, 128)))])
+        assert boxes.shape == (0, 4) and scores.shape == (0,)
 
     def test_single_strong_anchor_traced(self):
         output = blank_output()
@@ -105,20 +98,20 @@ class TestPostprocess:
         output.reg[2][0, :, 2, 3] = [0.1, -0.05, np.log(1.25), 0.0]
         info = ScaleInfo(padded_hw=(128, 128), valid_hw=(128, 128),
                          scale_xy=(0.5, 0.5))
-        dets = postprocess([(output, info)])
-        assert len(dets) == 1
-        assert dets[0].score == pytest.approx(float(sigmoid(np.array([2.0]))[0]))
+        boxes, scores = postprocess([(output, info)])
+        assert len(scores) == 1
+        assert scores[0] == pytest.approx(float(sigmoid(np.array([2.0]))[0]))
         cx, cy, w, h = 56 + 0.1 * 64, 40 - 0.05 * 64, 64 * 1.25, 64.0
         expected = np.array([cx - w / 2, max(cy - h / 2, 0.0), cx + w / 2, cy + h / 2])
-        np.testing.assert_allclose(dets[0].box, expected / 0.5, atol=1e-4)
+        np.testing.assert_allclose(boxes[0], expected / 0.5, atol=1e-4)
 
     def test_confidence_floor_is_strict(self):
         output = blank_output()
         output.cls[0][0, 0, 0, 0] = np.log(0.0799 / (1 - 0.0799))
         output.cls[0][0, 0, 10, 10] = np.log(0.0801 / (1 - 0.0801))
-        dets = postprocess([(output, identity_info((128, 128)))])
-        assert len(dets) == 1
-        assert dets[0].score == pytest.approx(0.0801, abs=1e-5)
+        _, scores = postprocess([(output, identity_info((128, 128)))])
+        assert len(scores) == 1
+        assert scores[0] == pytest.approx(0.0801, abs=1e-5)
 
     def test_final_top_100_of_disjoint_survivors(self):
         output = blank_output()
@@ -131,17 +124,17 @@ class TestPostprocess:
                 output.cls[0][0, 0, i, j] = 3.0 - 0.01 * count
                 output.reg[0][0, 2:, i, j] = shrink
                 count += 1
-        dets = postprocess([(output, identity_info((128, 128)))])
-        assert len(dets) == 100
-        scores = [d.score for d in dets]
-        assert scores == sorted(scores, reverse=True)
+        _, scores = postprocess([(output, identity_info((128, 128)))])
+        assert len(scores) == 100
+        assert scores.tolist() == sorted(scores.tolist(), reverse=True)
         worst_kept = float(sigmoid(np.array([3.0 - 0.01 * 99]))[0])
         assert scores[-1] == pytest.approx(worst_kept, abs=1e-6)
 
     def test_final_top_zero_is_empty(self):
         output = blank_output()
         output.cls[2][0, 0, 2, 3] = 2.0
-        assert postprocess([(output, identity_info((128, 128)))], final_top=0) == []
+        boxes, scores = postprocess([(output, identity_info((128, 128)))], final_top=0)
+        assert boxes.shape == (0, 4) and scores.shape == (0,)
 
     def test_peak_memory_over_3000_candidates(self):
         # an N x N float64 IoU matrix over these candidates peaks at about 350 MB
@@ -156,11 +149,11 @@ class TestPostprocess:
             per_scale.append((output, identity_info((512, 512))))
         tracemalloc.start()
         try:
-            dets = postprocess(per_scale)
+            _, scores = postprocess(per_scale)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(dets) == 100
+        assert len(scores) == 100
         assert peak < 16 * 2**20
 
     def test_per_scale_top_1000_cap(self):
@@ -168,18 +161,18 @@ class TestPostprocess:
                                     (4, 4), (2, 2)])
         flat = output.cls[0][0, 0].reshape(-1)
         flat[:1100] = np.linspace(3.0, 1.0, 1100)
-        dets = postprocess([(output, identity_info((256, 256)))],
-                           nms_iou=1.01, final_top=5000)
-        assert len(dets) == 1000
+        _, scores = postprocess([(output, identity_info((256, 256)))],
+                                nms_iou=1.01, final_top=5000)
+        assert len(scores) == 1000
 
     def test_detections_clipped_to_valid_frame(self):
         output = blank_output()
         output.cls[5][0, 0, 0, 0] = 4.0  # stride-128 anchor, side 512
         info = ScaleInfo(padded_hw=(128, 128), valid_hw=(100, 90),
                          scale_xy=(1.0, 1.0))
-        dets = postprocess([(output, info)])
-        assert len(dets) == 1
-        x1, y1, x2, y2 = dets[0].box
+        boxes, _ = postprocess([(output, info)])
+        assert len(boxes) == 1
+        x1, y1, x2, y2 = boxes[0]
         assert x1 >= 0 and y1 >= 0 and x2 <= 90 and y2 <= 100
 
 
@@ -206,50 +199,47 @@ class TestScales:
 class TestEvaluateAp:
     def test_perfect_detection(self):
         gt = np.array([[0.0, 0.0, 10.0, 10.0]])
-        assert evaluate_ap([gt], [[det(0, 0, 10, 10, 0.9)]]) == 1.0
+        assert evaluate_ap([gt], [dets((0, 0, 10, 10, 0.9))]) == 1.0
 
     def test_tp_fp_tp_fixture(self):
         gts = [np.array([[0.0, 0.0, 10.0, 10.0], [20.0, 20.0, 30.0, 30.0]])]
-        dets = [[det(0, 0, 10, 10, 0.9),
-                 det(50, 50, 60, 60, 0.8),
-                 det(20, 20, 30, 30, 0.7)]]
-        assert evaluate_ap(gts, dets) == pytest.approx(0.8333, abs=1e-4)
+        found = [dets((0, 0, 10, 10, 0.9),
+                      (50, 50, 60, 60, 0.8),
+                      (20, 20, 30, 30, 0.7))]
+        assert evaluate_ap(gts, found) == pytest.approx(0.8333, abs=1e-4)
 
     def test_all_false_positives(self):
         gts = [np.array([[0.0, 0.0, 10.0, 10.0]])]
-        dets = [[det(50, 50, 60, 60, 0.9)]]
-        assert evaluate_ap(gts, dets) == 0.0
+        assert evaluate_ap(gts, [dets((50, 50, 60, 60, 0.9))]) == 0.0
 
     def test_zero_gts(self):
-        assert evaluate_ap([np.zeros((0, 4))], [[]]) == 1.0
-        assert evaluate_ap([np.zeros((0, 4))], [[det(0, 0, 5, 5, 0.5)]]) == 0.0
+        assert evaluate_ap([np.zeros((0, 4))], [dets()]) == 1.0
+        assert evaluate_ap([np.zeros((0, 4))], [dets((0, 0, 5, 5, 0.5))]) == 0.0
 
     def test_each_gt_matched_once(self):
         gts = [np.array([[0.0, 0.0, 10.0, 10.0], [20.0, 20.0, 30.0, 30.0]])]
-        dets = [[det(0, 0, 10, 10, 0.9),
-                 det(0, 0, 10, 10, 0.8),   # duplicate -> FP
-                 det(20, 20, 30, 30, 0.7)]]
-        assert evaluate_ap(gts, dets) == pytest.approx(0.8333, abs=1e-4)
+        found = [dets((0, 0, 10, 10, 0.9),
+                      (0, 0, 10, 10, 0.8),   # duplicate -> FP
+                      (20, 20, 30, 30, 0.7))]
+        assert evaluate_ap(gts, found) == pytest.approx(0.8333, abs=1e-4)
 
     def test_invariant_under_monotone_score_transform(self):
         rng = np.random.default_rng(2)
-        gts, dets = [], []
+        gts, found = [], []
         for _ in range(4):
             g = rng.uniform(0, 50, size=(3, 2))
             gts.append(np.concatenate([g, g + rng.uniform(5, 20, (3, 2))], axis=1))
-            d = []
+            rows = []
             for _ in range(6):
                 xy = rng.uniform(0, 50, size=2)
-                d.append(det(*xy, *(xy + rng.uniform(5, 20, 2)), rng.uniform(0.1, 0.9)))
-            dets.append(d)
-        base = evaluate_ap(gts, dets)
-        squashed = [[Detection(box=d.box, score=d.score ** 3) for d in img]
-                    for img in dets]
+                rows.append((*xy, *(xy + rng.uniform(5, 20, 2)), rng.uniform(0.1, 0.9)))
+            found.append(dets(*rows))
+        base = evaluate_ap(gts, found)
+        squashed = [(boxes, scores ** 3) for boxes, scores in found]
         assert evaluate_ap(gts, squashed) == pytest.approx(base, abs=1e-12)
 
     def test_fp_above_all_tps_does_not_increase_ap(self):
         gts = [np.array([[0.0, 0.0, 10.0, 10.0]])]
-        dets = [[det(0, 0, 10, 10, 0.9)]]
-        base = evaluate_ap(gts, dets)
-        with_fp = [[det(50, 50, 60, 60, 0.99), det(0, 0, 10, 10, 0.9)]]
+        base = evaluate_ap(gts, [dets((0, 0, 10, 10, 0.9))])
+        with_fp = [dets((50, 50, 60, 60, 0.99), (0, 0, 10, 10, 0.9))]
         assert evaluate_ap(gts, with_fp) <= base
