@@ -3,7 +3,7 @@
 One anchor per feature cell, ratio 1:1, side = 4 * stride, so the six levels
 cover faces of 16 to 512 pixels. Flattened prediction order is a frozen
 contract: level-major (stride ascending), then row-major with x fastest; the
-head's flattened outputs line up with AnchorSet.boxes index for index.
+head's flattened outputs line up with ``generate_anchors`` row for row.
 """
 from __future__ import annotations
 
@@ -11,8 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .backbone import Block, Param, block_forward, named_acb, named_conv
-from .tensor_ops import ConvSpec, ShapeError, conv2d, relu
+from .backbone import Block, Param, block_forward, check_grid, named_acb, named_conv
+from .tensor_ops import ConvSpec, conv2d, relu
 
 STRIDES = (4, 8, 16, 32, 64, 128)
 ANCHOR_SCALE = 4
@@ -20,31 +20,13 @@ ANCHOR_SCALE = 4
 DELTA_CLAMP = float(np.log(1000.0 / 16.0))
 
 
-@dataclass
-class AnchorSet:
-    boxes: np.ndarray                 # (total, 4) corner form, float64
-    level_offsets: tuple[int, ...]    # start index of each level
-    strides: tuple[int, ...] = STRIDES
-
-    def __len__(self) -> int:
-        return self.boxes.shape[0]
-
-    def level_slice(self, level: int) -> slice:
-        start = self.level_offsets[level]
-        end = self.level_offsets[level + 1] if level + 1 < len(self.level_offsets) \
-            else len(self)
-        return slice(start, end)
-
-
-def generate_anchors(image_hw: tuple[int, int]) -> AnchorSet:
-    """Per-level center grids; anchor at cell (i,j) of stride s is centered
-    at ((j+0.5)s, (i+0.5)s) with side 4s."""
+def generate_anchors(image_hw: tuple[int, int]) -> np.ndarray:
+    """(total, 4) float64 corner-form boxes from per-level center grids; the
+    anchor at cell (i,j) of stride s is centered at ((j+0.5)s, (i+0.5)s) with
+    side 4s."""
+    check_grid(image_hw)
     h, w = image_hw
-    if h % 128 or w % 128:
-        raise ShapeError(f"image dims must be divisible by 128, got {h}x{w}")
     per_level = []
-    offsets = []
-    total = 0
     for s in STRIDES:
         gh, gw = h // s, w // s
         cy = (np.arange(gh, dtype=np.float64) + 0.5) * s
@@ -54,10 +36,7 @@ def generate_anchors(image_hw: tuple[int, int]) -> AnchorSet:
         boxes = np.stack([cxg - half, cyg - half, cxg + half, cyg + half],
                          axis=-1).reshape(-1, 4)
         per_level.append(boxes)
-        offsets.append(total)
-        total += boxes.shape[0]
-    return AnchorSet(boxes=np.concatenate(per_level, axis=0),
-                     level_offsets=tuple(offsets))
+    return np.concatenate(per_level, axis=0)
 
 
 def anchor_count(image_hw: tuple[int, int]) -> int:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fusion import AcbSpec, ConvBn, acb_forward
+from .fusion import AcbSpec, Block, ConvBn, acb_forward
 from .tensor_ops import (BNSpec, ConvSpec, ShapeError, check_tensor4,
                          concat_channels, conv2d, global_avg_pool, linear,
                          max_pool2d, relu, sigmoid)
@@ -22,13 +22,21 @@ from .tensor_ops import (BNSpec, ConvSpec, ShapeError, check_tensor4,
 POOL_KERNEL = (3, 3)
 POOL_STRIDE = (2, 2)
 POOL_PAD = (1, 1)
+# the network runs on grids whose sides are multiples of the coarsest stride
+GRID_MULTIPLE = 128
 
-Block = AcbSpec | ConvSpec  # ConvSpec once an ACB has been fused
+
+def check_grid(hw: tuple[int, int]) -> None:
+    h, w = hw
+    if h % GRID_MULTIPLE or w % GRID_MULTIPLE:
+        raise ShapeError(f"image dims must be divisible by {GRID_MULTIPLE}, got {h}x{w}")
 
 
 def block_forward(x: np.ndarray, block: Block) -> np.ndarray:
     if isinstance(block, AcbSpec):
         return acb_forward(x, block)
+    if isinstance(block, ConvBn):
+        return block.forward(x)
     return conv2d(x, block)
 
 
@@ -56,7 +64,7 @@ class AosaSpec:
     """One aggregation block: ACB chain, concat, 1x1 projection, eSE, residual."""
 
     acbs: list[Block]
-    projection: ConvBn
+    projection: Block
     ese: EseSpec
     residual: bool
 
@@ -67,7 +75,7 @@ def aosa_forward(x: np.ndarray, spec: AosaSpec) -> np.ndarray:
     for block in spec.acbs:
         cur = relu(block_forward(cur, block))
         feats.append(cur)
-    out = relu(spec.projection.forward(concat_channels(feats)))
+    out = relu(block_forward(concat_channels(feats), spec.projection))
     out = ese_attention(out, spec.ese.weight, spec.ese.bias)
     if spec.residual:
         out += x
@@ -76,19 +84,17 @@ def aosa_forward(x: np.ndarray, spec: AosaSpec) -> np.ndarray:
 
 @dataclass
 class BackboneSpec:
-    stem: list[ConvBn]            # strides 2, 1, 2
+    stem: list[Block]             # strides 2, 1, 2
     stages: list[list[AosaSpec]]  # six stages, one entry per repeat
 
 
 def backbone_forward(image: np.ndarray, spec: BackboneSpec) -> list[np.ndarray]:
     """Run stem and stages; returns the six stage outputs, stride 4 to 128."""
     check_tensor4(image, "image")
-    h, w = image.shape[2], image.shape[3]
-    if h % 128 or w % 128:
-        raise ShapeError(f"image dims must be divisible by 128, got {h}x{w}")
+    check_grid(image.shape[2:])
     x = image
     for block in spec.stem:
-        x = relu(block.forward(x))
+        x = relu(block_forward(x, block))
     pyramid = []
     for idx, stage in enumerate(spec.stages):
         if idx > 0:
@@ -183,10 +189,10 @@ def named_bn(param: Param, name: str, channels: int) -> BNSpec:
 
 
 def named_conv_bn(param: Param, name: str, out_c: int, in_c: int, k: int,
-                  stride=(1, 1), padding=(0, 0), fused: bool = False) -> ConvBn:
-    """A conv+BN pair, or once fused its biased conv with no BN."""
+                  stride=(1, 1), padding=(0, 0), fused: bool = False) -> Block:
+    """A conv+BN pair, or once fused its biased conv."""
     conv = named_conv(param, f"{name}.conv", out_c, in_c, k, k, stride, padding, bias=fused)
-    return ConvBn(conv=conv, bn=None if fused else named_bn(param, f"{name}.bn", out_c))
+    return conv if fused else ConvBn(conv=conv, bn=named_bn(param, f"{name}.bn", out_c))
 
 
 def named_acb(param: Param, name: str, in_c: int, out_c: int, stride=(1, 1),

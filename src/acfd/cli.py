@@ -18,10 +18,11 @@ from pathlib import Path
 import numpy as np
 
 from . import container, model, verify
-from .matching import dam_match
 from .anchors import generate_anchors
-from .postprocess import (CONF_THRESHOLD, GRID_MULTIPLE, NMS_IOU, ScaleInfo,
-                          multi_scale_sizes, pad_to_grid, postprocess)
+from .backbone import GRID_MULTIPLE
+from .matching import dam_match
+from .postprocess import (CONF_THRESHOLD, NMS_IOU, ScaleInfo, multi_scale_sizes,
+                          pad_to_grid, postprocess)
 from .ppm import read_ppm
 from .tensor_ops import bilinear_resize, openblas_threads
 
@@ -183,7 +184,7 @@ def cmd_match(args) -> int:
         for t2 in args.t2:
             n1 = n2 = faces = 0
             for key, gts in annotations:
-                regressed = preds_by_id.get(key, anchors.boxes)
+                regressed = preds_by_id.get(key, anchors)
                 result = dam_match(anchors, regressed, gts, t1, t2)
                 n1 += result.n1
                 n2 += result.n2

@@ -22,7 +22,6 @@ from .model import DetectorModel, ModelConfig, model_from_arrays, named_arrays
 
 MAGIC = b"ACFD\0"
 FORMAT_VERSION = 1
-FILE_EXTENSION = ".acfd"
 
 
 class ContainerFormatError(ValueError):

@@ -16,21 +16,16 @@ import numpy as np
 from .tensor_ops import (BNSpec, ConvSpec, ShapeError, batch_norm_infer, conv2d,
                          conv_output_shape)
 
-BN_EPS_DEFAULT = 1e-5
-
 
 @dataclass
 class ConvBn:
-    """A convolution with an optional trailing batch norm (None once folded)."""
+    """A convolution followed by its batch norm; folds into one biased conv."""
 
     conv: ConvSpec
-    bn: BNSpec | None = None
+    bn: BNSpec
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        out = conv2d(x, self.conv)
-        if self.bn is not None:
-            out = batch_norm_infer(out, self.bn)
-        return out
+        return batch_norm_infer(conv2d(x, self.conv), self.bn)
 
 
 @dataclass
@@ -111,11 +106,16 @@ def fuse_acb(spec: AcbSpec) -> ConvSpec:
     return ConvSpec(weight=weight, bias=bias, stride=spec.stride, padding=(1, 1))
 
 
-def fuse_block(block: AcbSpec | ConvBn) -> ConvSpec | ConvBn:
-    """The inference form of one foldable block."""
+# A network block: a train-time ACB or conv+BN pair, or the plain conv either
+# folds into
+Block = AcbSpec | ConvBn | ConvSpec
+
+
+def fuse_block(block: AcbSpec | ConvBn) -> ConvSpec:
+    """The inference form of one foldable block: one biased convolution."""
     if isinstance(block, AcbSpec):
         return fuse_acb(block)
-    return ConvBn(conv=fuse_conv_bn(block.conv, block.bn))
+    return fuse_conv_bn(block.conv, block.bn)
 
 
 def map_blocks(tree, leaf):
@@ -131,14 +131,12 @@ def map_blocks(tree, leaf):
     return tree
 
 
-def conv_macs(spec: ConvSpec, in_hw: tuple[int, int]) -> int:
-    """Multiply-accumulate count of one convolution at the given input size."""
+def block_macs(block: Block, in_hw: tuple[int, int]) -> int:
+    """Multiply-accumulate count of one block at the given input size."""
+    if isinstance(block, AcbSpec):
+        return sum(block_macs(b, in_hw)
+                   for b in (block.square, block.horizontal, block.vertical))
+    spec = block.conv if isinstance(block, ConvBn) else block
     oh = conv_output_shape(in_hw[0], spec.kh, spec.stride[0], spec.padding[0])
     ow = conv_output_shape(in_hw[1], spec.kw, spec.stride[1], spec.padding[1])
     return spec.out_c * spec.in_c * spec.kh * spec.kw * oh * ow
-
-
-def acb_macs(spec: AcbSpec, in_hw: tuple[int, int]) -> int:
-    return (conv_macs(spec.square.conv, in_hw)
-            + conv_macs(spec.horizontal.conv, in_hw)
-            + conv_macs(spec.vertical.conv, in_hw))

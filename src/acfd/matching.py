@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .anchors import AnchorSet, encode
+from .anchors import encode
 
 
 def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -54,11 +54,11 @@ class MatchResult:
         return int(np.sum(self.labels == LABEL_COMPENSATED))
 
 
-def dam_match(anchors, regressed: np.ndarray, gts: np.ndarray,
+def dam_match(anchors: np.ndarray, regressed: np.ndarray, gts: np.ndarray,
               t1: float, t2: float) -> MatchResult:
-    """Two-step match over all anchors; `regressed` is the anchors' current
-    decoded box predictions, parallel to the anchor list."""
-    boxes = anchors.boxes if isinstance(anchors, AnchorSet) else np.asarray(anchors)
+    """Two-step match over the (N, 4) anchor boxes; `regressed` is the anchors'
+    current decoded box predictions, parallel to them."""
+    boxes = np.asarray(anchors, dtype=np.float64)
     regressed = np.asarray(regressed, dtype=np.float64)
     gts = np.asarray(gts, dtype=np.float64).reshape(-1, 4)
     n = boxes.shape[0]

@@ -12,12 +12,11 @@ from dataclasses import dataclass, fields, is_dataclass, replace
 import numpy as np
 
 from .anchors import HeadOutput, HeadSpec, build_head, head_forward
-from .backbone import (BackboneConfig, BackboneSpec, Block, Param, StageConfig,
-                       backbone_forward, build_backbone, random_params,
+from .backbone import (BackboneConfig, BackboneSpec, Param, StageConfig,
+                       backbone_forward, build_backbone, check_grid, random_params,
                        tiny_backbone_config)
-from .fusion import AcbSpec, acb_macs, conv_macs, fuse_block, map_blocks
+from .fusion import block_macs, fuse_block, map_blocks
 from .neck import BifpnSpec, abifpn_forward, build_neck
-from .tensor_ops import ShapeError
 
 
 @dataclass(frozen=True)
@@ -152,27 +151,22 @@ def model_from_arrays(config: ModelConfig, fused: bool,
 # ---------------------------------------------------------------------------
 # analytic multiply-accumulate counting
 
-def _block_macs(block: Block, hw: tuple[int, int]) -> int:
-    return acb_macs(block, hw) if isinstance(block, AcbSpec) else conv_macs(block, hw)
-
-
 def count_model_macs(model: DetectorModel, image_hw: tuple[int, int]) -> int:
     """Per-image MAC count of every conv/linear in the forward path."""
+    check_grid(image_hw)
     h, w = image_hw
-    if h % 128 or w % 128:
-        raise ShapeError(f"image dims must be divisible by 128, got {h}x{w}")
     at = lambda stride: (h // stride, w // stride)  # input size of a map at stride
     levels = [at(4 << i) for i in range(len(model.backbone.stages))]
-    total = sum(conv_macs(blk.conv, at(s)) for blk, s in zip(model.backbone.stem, (1, 2, 2)))
+    total = sum(block_macs(blk, at(s)) for blk, s in zip(model.backbone.stem, (1, 2, 2)))
     for stage, hw in zip(model.backbone.stages, levels):
         for blk in stage:
-            total += sum(_block_macs(acb, hw) for acb in blk.acbs)
-            total += conv_macs(blk.projection.conv, hw) + blk.ese.weight.size
-    total += sum(conv_macs(lat.conv, hw) for lat, hw in zip(model.neck.laterals, levels))
+            total += sum(block_macs(acb, hw) for acb in blk.acbs)
+            total += block_macs(blk.projection, hw) + blk.ese.weight.size
+    total += sum(block_macs(lat, hw) for lat, hw in zip(model.neck.laterals, levels))
     for layer in model.neck.layers:  # td nodes run levels 4..0, bu nodes 1..5
         nodes = [*zip(layer.td_nodes, levels[-2::-1]), *zip(layer.bu_nodes, levels[1:])]
-        total += sum(_block_macs(node.acb, hw) for node, hw in nodes)
+        total += sum(block_macs(node.acb, hw) for node, hw in nodes)
+    head = [*model.head.tower, model.head.cls_out, model.head.reg_out]
     for hw in levels:
-        total += sum(_block_macs(blk, hw) for blk in model.head.tower)
-        total += conv_macs(model.head.cls_out, hw) + conv_macs(model.head.reg_out, hw)
+        total += sum(block_macs(blk, hw) for blk in head)
     return total

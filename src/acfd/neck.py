@@ -14,11 +14,9 @@ import numpy as np
 
 from .backbone import (POOL_KERNEL, POOL_PAD, POOL_STRIDE, Block, Param,
                        block_forward, named_acb, named_conv_bn, sampled)
-from .fusion import ConvBn
 from .tensor_ops import ShapeError, max_pool2d, relu, resize_nearest
 
 FUSION_STABILIZER = 1e-4
-NUM_LEVELS = 6
 
 
 def normalized_fusion_weights(weights: np.ndarray) -> np.ndarray:
@@ -64,7 +62,7 @@ class BifpnLayerSpec:
 @dataclass
 class BifpnSpec:
     width: int
-    laterals: list[ConvBn]  # six 1x1 projections onto the common width
+    laterals: list[Block]  # six 1x1 projections onto the common width
     layers: list[BifpnLayerSpec]
 
 
@@ -92,7 +90,7 @@ def abifpn_forward(pyramid: list[np.ndarray], spec: BifpnSpec) -> list[np.ndarra
     """Project each level to the common width, then run the stacked sweeps."""
     if len(pyramid) != len(spec.laterals):
         raise ShapeError(f"expected {len(spec.laterals)} levels, got {len(pyramid)}")
-    levels = [lat.forward(p) for lat, p in zip(spec.laterals, pyramid)]
+    levels = [block_forward(p, lat) for lat, p in zip(spec.laterals, pyramid)]
     for layer in spec.layers:
         levels = bifpn_layer_forward(levels, layer)
     return levels

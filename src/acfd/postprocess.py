@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .anchors import HeadOutput, decode, generate_anchors
+from .backbone import GRID_MULTIPLE
 from .matching import iou_matrix
 from .tensor_ops import sigmoid
 
@@ -20,7 +21,6 @@ CONF_THRESHOLD = 0.08
 PER_SCALE_TOP = 1000
 NMS_IOU = 0.55
 FINAL_TOP = 100
-GRID_MULTIPLE = 128
 
 TEST_SCALES = ((480, 645), (640, 860), (800, 1075))
 
@@ -83,7 +83,7 @@ def _per_scale_detections(output: HeadOutput, info: ScaleInfo,
     # stable sort: highest scores first, ties by anchor index
     order = keep[np.argsort(-probs[keep], kind="stable")[:top]]
     anchors = generate_anchors(info.padded_hw)
-    boxes = decode(anchors.boxes[order], output.flat_reg()[0][order])
+    boxes = decode(anchors[order], output.flat_reg()[0][order])
     vh, vw = info.valid_hw
     boxes[:, 0::2] = boxes[:, 0::2].clip(0, vw)
     boxes[:, 1::2] = boxes[:, 1::2].clip(0, vh)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from acfd import cli, container, losses, matching, postprocess
-from acfd.anchors import (HeadOutput, anchor_count, encode, generate_anchors)
+from acfd.anchors import (STRIDES, HeadOutput, anchor_count, encode, generate_anchors)
 from acfd.backbone import backbone_forward, random_acb
 from acfd.fusion import acb_forward, fuse_acb, fuse_conv_bn
 from acfd.backbone import kaiming_conv, random_bn
@@ -31,7 +31,7 @@ def report(number: int, name: str, passed: bool, detail: str = ""):
 
 def test_01_anchor_count():
     anchors = generate_anchors((640, 640))
-    sides = sorted({int(round(s)) for s in (anchors.boxes[:, 2] - anchors.boxes[:, 0])})
+    sides = sorted({int(round(s)) for s in (anchors[:, 2] - anchors[:, 0])})
     ok = len(anchors) == 34125 and sides == [16, 32, 64, 128, 256, 512]
     report(1, "anchor-count", ok, f"{len(anchors)} anchors, sides {sides}")
 
@@ -234,20 +234,21 @@ def test_11_synthetic_pipeline_sanity():
     rng = np.random.default_rng(6)
     dataset = _synthetic_faces(rng)
     anchors = generate_anchors((256, 256))
-    level_dims = [(256 // s, 256 // s) for s in anchors.strides]
+    level_dims = [(256 // s, 256 // s) for s in STRIDES]
+    offsets = np.cumsum([0] + [h * w for h, w in level_dims])
     all_dets = []
     for gts in dataset:
-        overlaps = iou_matrix(anchors.boxes, gts)
+        overlaps = iou_matrix(anchors, gts)
         best_iou = overlaps.max(axis=1)
         best_gt = overlaps.argmax(axis=1)
         probs = np.clip(best_iou, 1e-6, 1 - 1e-6)
         logits = np.log(probs / (1 - probs)).astype(np.float32)
         deltas = np.zeros((len(anchors), 4), dtype=np.float32)
         confident = best_iou > 0.3
-        deltas[confident] = encode(anchors.boxes[confident], gts[best_gt[confident]])
+        deltas[confident] = encode(anchors[confident], gts[best_gt[confident]])
         output = HeadOutput()
         for lvl, (h, w) in enumerate(level_dims):
-            sl = anchors.level_slice(lvl)
+            sl = slice(offsets[lvl], offsets[lvl + 1])
             output.cls.append(logits[sl].reshape(1, 1, h, w))
             output.reg.append(deltas[sl].reshape(1, h, w, 4).transpose(0, 3, 1, 2))
         info = postprocess.ScaleInfo((256, 256), (256, 256), (1.0, 1.0))

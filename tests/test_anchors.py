@@ -11,6 +11,14 @@ from acfd.neck import abifpn_forward, build_neck
 from acfd.tensor_ops import ShapeError
 
 
+def level_slice(image_hw, level):
+    """Rows of one level in the anchor array: the levels run in STRIDES order."""
+    h, w = image_hw
+    sizes = [(h // s) * (w // s) for s in STRIDES]
+    start = sum(sizes[:level])
+    return slice(start, start + sizes[level])
+
+
 class TestGenerateAnchors:
     def test_total_count_640(self):
         anchors = generate_anchors((640, 640))
@@ -18,11 +26,12 @@ class TestGenerateAnchors:
 
     def test_first_stride4_anchor(self):
         anchors = generate_anchors((640, 640))
-        np.testing.assert_allclose(anchors.boxes[0], [-6.0, -6.0, 10.0, 10.0])
+        assert anchors.shape == (34125, 4) and anchors.dtype == np.float64
+        np.testing.assert_allclose(anchors[0], [-6.0, -6.0, 10.0, 10.0])
 
     def test_coarsest_level(self):
         anchors = generate_anchors((640, 640))
-        top = anchors.boxes[anchors.level_slice(5)]
+        top = anchors[level_slice((640, 640), 5)]
         assert top.shape[0] == 25
         sides = top[:, 2] - top[:, 0]
         np.testing.assert_allclose(sides, 512.0)
@@ -30,13 +39,13 @@ class TestGenerateAnchors:
     def test_sides_per_level(self):
         anchors = generate_anchors((256, 128))
         for lvl, stride in enumerate(STRIDES):
-            boxes = anchors.boxes[anchors.level_slice(lvl)]
+            boxes = anchors[level_slice((256, 128), lvl)]
             np.testing.assert_allclose(boxes[:, 2] - boxes[:, 0], 4 * stride)
             np.testing.assert_allclose(boxes[:, 3] - boxes[:, 1], 4 * stride)
 
     def test_row_major_x_fastest(self):
         anchors = generate_anchors((128, 256))
-        level0 = anchors.boxes[anchors.level_slice(0)]
+        level0 = anchors[level_slice((128, 256), 0)]
         # second anchor advances in x by one stride
         np.testing.assert_allclose(level0[1] - level0[0], [4.0, 0.0, 4.0, 0.0])
         # first anchor of the second row advances in y
@@ -50,8 +59,7 @@ class TestGenerateAnchors:
     def test_deterministic_bytes(self):
         a = generate_anchors((256, 384))
         b = generate_anchors((256, 384))
-        assert a.boxes.tobytes() == b.boxes.tobytes()
-        assert a.level_offsets == b.level_offsets
+        assert a.tobytes() == b.tobytes()
 
 
 @settings(max_examples=30, deadline=None)

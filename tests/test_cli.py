@@ -145,8 +145,7 @@ class TestMatch:
         assert main(["match", str(ann), str(pred), "--image-size", "128x128"]) == 0
         out = capsys.readouterr().out
         row = out.splitlines()[-1].split()
-        expected = dam_match(anchors, anchors.boxes,
-                             np.asarray(gts), 0.35, 0.7)
+        expected = dam_match(anchors, anchors, np.asarray(gts), 0.35, 0.7)
         assert int(row[2]) == expected.n1
         assert int(row[3]) == expected.n2
 

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from acfd.backbone import random_acb
-from acfd.fusion import (AcbSpec, ConvBn, acb_forward, acb_macs, conv_macs,
-                         fuse_acb, fuse_conv_bn)
+from acfd.backbone import kaiming_conv, random_acb, random_bn
+from acfd.fusion import (AcbSpec, ConvBn, acb_forward, block_macs, fuse_acb,
+                         fuse_block, fuse_conv_bn)
 from acfd.tensor_ops import BNSpec, ConvSpec, ShapeError, conv2d
 
 
@@ -84,7 +84,6 @@ class TestFuseConvBn:
     @pytest.mark.parametrize("seed", range(5))
     def test_randomized_equivalence(self, seed):
         rng = np.random.default_rng(seed)
-        from acfd.backbone import kaiming_conv, random_bn
         conv = kaiming_conv(rng, 4, 3, 3, 3, padding=(1, 1), bias=True)
         conv.bias = rng.normal(size=4).astype(np.float32)
         bn = random_bn(rng, 4)
@@ -147,6 +146,19 @@ class TestFuseAcb:
         spec = random_acb(rng, 8, 8)
         fused = fuse_acb(spec)
         hw = (32, 32)
-        assert conv_macs(fused, hw) < acb_macs(spec, hw)
+        assert block_macs(fused, hw) < block_macs(spec, hw)
         # 3x3 + 1x3 + 3x1 = 15 vs 9 multiplies per output element
-        assert acb_macs(spec, hw) == conv_macs(fused, hw) * 15 // 9
+        assert block_macs(spec, hw) == block_macs(fused, hw) * 15 // 9
+        assert block_macs(fused, hw) == 8 * 8 * 9 * 32 * 32
+
+
+class TestFuseBlock:
+    def test_conv_bn_folds_to_a_bare_conv_of_equal_cost(self):
+        rng = np.random.default_rng(5)
+        block = ConvBn(conv=kaiming_conv(rng, 4, 3, 3, 3, stride=(2, 2), padding=(1, 1)),
+                       bn=random_bn(rng, 4))
+        fused = fuse_block(block)
+        assert isinstance(fused, ConvSpec)
+        x = rng.normal(size=(1, 3, 9, 9)).astype(np.float32)
+        np.testing.assert_allclose(conv2d(x, fused), block.forward(x), atol=1e-5)
+        assert block_macs(block, (9, 9)) == block_macs(fused, (9, 9)) == 4 * 3 * 9 * 5 * 5

@@ -3,8 +3,10 @@ import sys
 import numpy as np
 import pytest
 
+from acfd import container
 from acfd.anchors import anchor_count
 from acfd.backbone import random_params
+from acfd.fusion import map_blocks
 from acfd.model import (ModelConfig, _build, build_model, count_model_macs, forward,
                         full_config, fuse_model, named_arrays, tiny_config)
 from acfd.tensor_ops import ShapeError, conv2d, linear
@@ -35,6 +37,21 @@ def test_fusion_drift_within_budget(tiny_model):
     a, b = forward(tiny_model, img), forward(fused, img)
     worst = max(float(np.abs(x - y).max()) for x, y in zip(a.cls + a.reg, b.cls + b.reg))
     assert worst <= 1e-3
+
+
+def _foldable_blocks(tree) -> list:
+    found = []
+    map_blocks(tree, found.append)
+    return found
+
+
+def test_fused_trees_hold_only_plain_convs(tiny_model, tmp_path):
+    assert _foldable_blocks(tiny_model)
+    fused = fuse_model(tiny_model)
+    assert _foldable_blocks(fused) == []
+    path = tmp_path / "fused.acfd"
+    container.save_file(fused, path)
+    assert _foldable_blocks(container.load_file(path)) == []
 
 
 def test_refusing_double_fusion(tiny_model):

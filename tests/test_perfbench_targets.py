@@ -1,9 +1,10 @@
 """The benchmark's tracer still finds the program's functions.
 
 perfbench/tracing.py wraps each of its TARGETS by module and function name;
-a target that goes missing drops its per-layer metrics without an error, so
-this checks the names, and that the NMS span counts what the metrics report.
-The tracer is loaded from its file and left unchanged.
+a target that goes missing, or that detect no longer calls, drops its per-layer
+metrics without an error, so this checks the names, that one traced detect
+per container kind calls every target, and that the NMS span counts what the
+metrics report. The tracer is loaded from its file and left unchanged.
 """
 import importlib
 import importlib.util
@@ -14,8 +15,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from acfd import postprocess
+from acfd import cli, container, postprocess
 from acfd.anchors import HeadOutput
+from acfd.model import build_model, fuse_model, tiny_config
+from acfd.ppm import write_ppm
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -37,6 +40,26 @@ def test_every_target_is_a_program_function(tracing):
         module = importlib.import_module(f"acfd.{module_name}")
         assert inspect.isfunction(getattr(module, fn_name, None)), \
             f"acfd.{module_name}.{fn_name}"
+
+
+def test_detect_calls_every_target(tracing, tmp_path):
+    for module_name, _, _ in tracing.TARGETS:
+        importlib.import_module(f"acfd.{module_name}")  # patch every holder
+    unfused = build_model(tiny_config(), seed=0)
+    image = tmp_path / "scene.ppm"
+    write_ppm(image, np.random.default_rng(3).integers(0, 255, (96, 128, 3), dtype=np.uint8))
+    called = set()
+    for name, m in (("unfused", unfused), ("fused", fuse_model(unfused))):
+        weights = tmp_path / f"{name}.acfd"
+        container.save_file(m, weights)
+        tracer = tracing.Tracer()
+        with tracer:
+            assert cli.main(["detect", str(image), str(weights), "--scales",
+                             "128x128,256x256", "--out", str(tmp_path / "out.jsonl")]) == 0
+        assert not tracer.absent
+        called |= {s.name for s in tracer.spans}
+    missing = {f"{m}.{f}" for m, f, _ in tracing.TARGETS} - called
+    assert not missing, sorted(missing)
 
 
 def test_nms_span_counts_candidates_and_kept(tracing):
