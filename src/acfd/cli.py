@@ -262,6 +262,12 @@ def cmd_detect(args) -> int:
     else:
         scales = args.scales or multi_scale_sizes()
     per_scale = _detect_scales(image, m, scales)
+    # a NaN score drops every candidate and a NaN box prints as invalid JSON
+    for (output, _), (sh, sw) in zip(per_scale, scales):
+        if not all(np.isfinite(a).all() for a in output.cls + output.reg):
+            print(f"bad container {args.container}: non-finite head output "
+                  f"at scale {sh}x{sw}", file=sys.stderr)
+            return EXIT_IO
 
     boxes, scores = postprocess(per_scale, conf=args.conf, nms_iou=args.nms_iou)
     image_id = Path(args.image).stem

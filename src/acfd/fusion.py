@@ -53,14 +53,6 @@ class AcbSpec:
                 raise ShapeError("branches must share in/out channels and stride")
 
     @property
-    def in_c(self) -> int:
-        return self.square.conv.in_c
-
-    @property
-    def out_c(self) -> int:
-        return self.square.conv.out_c
-
-    @property
     def stride(self) -> tuple[int, int]:
         return self.square.conv.stride
 

@@ -76,9 +76,8 @@ def bifpn_layer_forward(levels: list[np.ndarray], layer: BifpnLayerSpec) -> list
     out = [None] * n
     out[0] = td[0]
     for i, node in zip(range(1, n), layer.bu_nodes):
+        # grid sides are multiples of 128, so the pool halves each level exactly
         down = max_pool2d(out[i - 1], POOL_KERNEL, POOL_STRIDE, POOL_PAD)
-        if down.shape[2:] != levels[i].shape[2:]:
-            down = resize_nearest(down, levels[i].shape[2:])
         if i < n - 1:
             out[i] = fuse_node([levels[i], td[i], down], node.weights, node.acb)
         else:

@@ -393,6 +393,22 @@ class TestDetect:
         assert proc.returncode == 1
         assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("name", ["head.cls.weight", "head.reg.weight"])
+    def test_non_finite_head_output_is_one_line_io_error(self, name, ppm_image,
+                                                         fused_container, tmp_path):
+        m = container.load_file(fused_container)
+        model.named_arrays(m)[name].flat[0] = np.nan
+        bad = tmp_path / "nan.acfd"
+        container.save_file(m, bad)
+        out = tmp_path / "nan.jsonl"
+        proc = subprocess.run([sys.executable, "-m", "acfd.cli", "detect", str(ppm_image),
+                               str(bad), "--out", str(out)], capture_output=True,
+                              text=True, timeout=30)
+        assert proc.returncode == 1
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+        assert str(bad) in proc.stderr and "non-finite" in proc.stderr
+        assert not out.exists()
+
     def test_default_scales_output_is_pinned(self, ppm_image, fused_container, tmp_path):
         # 3000 candidates, 1772 of them survive full NMS; the digest was recorded
         # with the channel-major conv columns (kernel @ cols)

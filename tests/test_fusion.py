@@ -123,7 +123,7 @@ class TestFuseAcb:
         rng = np.random.default_rng(seed)
         spec = random_acb(rng, int(rng.integers(1, 5)), int(rng.integers(1, 5)))
         fused = fuse_acb(spec)
-        x = rng.normal(size=(2, spec.in_c, 9, 9)).astype(np.float32)
+        x = rng.normal(size=(2, spec.square.conv.in_c, 9, 9)).astype(np.float32)
         np.testing.assert_allclose(conv2d(x, fused), acb_forward(x, spec), atol=1e-4)
 
     @pytest.mark.parametrize("seed", range(4))

@@ -7,11 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from acfd import tensor_ops
+from acfd.postprocess import multi_scale_sizes
 from acfd.tensor_ops import (BNSpec, ConvSpec, ShapeError, batch_norm_infer,
-                             concat_channels, conv2d, conv2d_direct,
-                             conv_output_shape, global_avg_pool, linear,
-                             max_pool2d, max_pool2d_direct, relu, resize_nearest,
-                             sigmoid)
+                             bilinear_resize, concat_channels, conv2d,
+                             conv2d_direct, conv_output_shape, global_avg_pool,
+                             linear, max_pool2d, max_pool2d_direct, relu,
+                             resize_nearest, sigmoid)
 
 
 def set_block_rows(monkeypatch, rows, x, spec):
@@ -326,6 +327,69 @@ class TestResizeNearest:
         x = np.full((1, 1, 4, 4), 7.0, dtype=np.float32)
         out = resize_nearest(x, (2, 2))
         np.testing.assert_array_equal(out, np.full((1, 1, 2, 2), 7.0))
+
+
+class TestBilinearResize:
+    def test_constant_preserved(self):
+        img = np.full((1, 3, 10, 14), 0.37, dtype=np.float32)
+        out = bilinear_resize(img, (23, 5))
+        np.testing.assert_allclose(out, 0.37, atol=1e-6)
+
+    def test_2x_upsample_interpolates(self):
+        img = np.array([[[[0.0, 1.0]]]], dtype=np.float32)
+        out = bilinear_resize(img, (1, 4))
+        np.testing.assert_allclose(out[0, 0, 0], [0.0, 0.25, 0.75, 1.0], atol=1e-6)
+
+    @pytest.mark.parametrize("shape, target, dtype", [
+        *[((1, 3, 96, 128), scale, np.float32) for scale in multi_scale_sizes()],
+        ((1, 3, 180, 240), (97, 131), np.float32),
+        ((2, 3, 13, 17), (31, 7), np.float32),
+        ((1, 2, 1, 9), (5, 4), np.float32),
+        ((2, 3, 13, 17), (29, 41), np.float64),
+        ((1, 3, 96, 128), (96, 128), np.float32),
+    ])
+    def test_bit_identical_to_the_2d_gather(self, shape, target, dtype):
+        image = np.random.default_rng(5).uniform(0, 1, shape).astype(dtype)
+        expected = _bilinear_reference(image, target).tobytes()
+        out = bilinear_resize(image, target)
+        assert out.dtype == dtype
+        assert out.tobytes() == expected
+        # into the top-left corner of a larger zero-filled grid, as detect pads
+        th, tw = target
+        grid = np.zeros((*shape[:2], th + 5, tw + 7), dtype=dtype)
+        out = bilinear_resize(image, target, out=grid[:, :, :th, :tw])
+        assert np.shares_memory(out, grid) and out.tobytes() == expected
+        assert not grid[:, :, th:].any() and not grid[:, :, :, tw:].any()
+
+    def test_resize_into_grid_holds_plane_sized_temporaries(self):
+        # a 766x928 image into its 800x1075 corner of an 896x1152 grid: three
+        # plane-sized buffers (~9.7 MiB); whole-map temporaries and a copy
+        # into the grid would be ~39 MiB
+        image = np.random.default_rng(8).uniform(0, 1, (1, 3, 766, 928)).astype(np.float32)
+        grid = np.zeros((1, 3, 896, 1152), dtype=np.float32)
+        tracemalloc.start()
+        try:
+            bilinear_resize(image, (800, 1075), out=grid[:, :, :800, :1075])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert grid[:, :, :800, :1075].all()
+        assert peak < 4 * 800 * 1075 * image.itemsize
+
+
+def _bilinear_reference(image, target):
+    """Every output pixel gathered from its four source pixels at once."""
+    h, w = image.shape[2], image.shape[3]
+    th, tw = target
+    sy = np.clip((np.arange(th) + 0.5) * h / th - 0.5, 0, h - 1)
+    sx = np.clip((np.arange(tw) + 0.5) * w / tw - 0.5, 0, w - 1)
+    y0, x0 = np.floor(sy).astype(int), np.floor(sx).astype(int)
+    y1, x1 = np.minimum(y0 + 1, h - 1), np.minimum(x0 + 1, w - 1)
+    fy = (sy - y0).astype(image.dtype)[None, None, :, None]
+    fx = (sx - x0).astype(image.dtype)[None, None, None, :]
+    top = image[:, :, y0][:, :, :, x0] * (1 - fx) + image[:, :, y0][:, :, :, x1] * fx
+    bot = image[:, :, y1][:, :, :, x0] * (1 - fx) + image[:, :, y1][:, :, :, x1] * fx
+    return top * (1 - fy) + bot * fy
 
 
 class TestConcat:
