@@ -68,6 +68,15 @@ def _grid_size(text: str) -> tuple[int, int]:
     return size
 
 
+def _unit_float(text: str) -> float:
+    try:
+        if 0.0 <= float(text) <= 1.0:  # NaN fails both comparisons
+            return float(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a number in [0, 1], got {text!r}")
+
+
 def _comma_list(item):
     def comma_list(text: str) -> list:
         return [item(v) for v in text.split(",")]
@@ -78,21 +87,27 @@ def _param_count(m: model.DetectorModel) -> int:
     return sum(a.size for a in model.named_arrays(m).values())
 
 
+def _load_model(path) -> model.DetectorModel | None:
+    """The container's model, or None after one stderr line."""
+    try:
+        return container.load_file(path)
+    except OSError as exc:
+        print(f"cannot read {path}: {exc}", file=sys.stderr)
+    except ValueError as exc:
+        print(f"bad container {path}: {exc}", file=sys.stderr)
+    return None
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
 def cmd_fuse(args) -> int:
-    try:
-        if container.is_fused_file(args.input):
-            print("input container is already fused", file=sys.stderr)
-            return EXIT_USAGE
-        unfused = container.load_file(args.input)
-    except OSError as exc:
-        print(f"cannot read {args.input}: {exc}", file=sys.stderr)
+    unfused = _load_model(args.input)
+    if unfused is None:
         return EXIT_IO
-    except ValueError as exc:
-        print(f"bad container {args.input}: {exc}", file=sys.stderr)
-        return EXIT_IO
+    if unfused.fused:
+        print("input container is already fused", file=sys.stderr)
+        return EXIT_USAGE
     fused = model.fuse_model(unfused)
     rng = np.random.default_rng(args.seed)
     # probe in the normalized-image range the detector actually sees
@@ -245,10 +260,8 @@ def cmd_detect(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"cannot decode {args.image}: {exc}", file=sys.stderr)
         return EXIT_IO
-    try:
-        m = container.load_file(args.container)
-    except (OSError, ValueError) as exc:
-        print(f"cannot read {args.container}: {exc}", file=sys.stderr)
+    m = _load_model(args.container)
+    if m is None:
         return EXIT_IO
     # normalized in one NCHW buffer, in place: no full-size temporaries
     image = np.empty((1, 3, *pixels.shape[:2]), dtype=np.float32)
@@ -298,14 +311,12 @@ def _time_forward(m: model.DetectorModel, probe: np.ndarray, repeats: int) -> li
 
 
 def cmd_bench(args) -> int:
-    try:
-        if container.is_fused_file(args.container):
-            print("bench expects an unfused container", file=sys.stderr)
-            return EXIT_USAGE
-        unfused = container.load_file(args.container)
-    except (OSError, ValueError) as exc:
-        print(f"cannot read {args.container}: {exc}", file=sys.stderr)
+    unfused = _load_model(args.container)
+    if unfused is None:
         return EXIT_IO
+    if unfused.fused:
+        print("bench expects an unfused container", file=sys.stderr)
+        return EXIT_USAGE
     fused = model.fuse_model(unfused)
     rng = np.random.default_rng(args.seed)
     probe = rng.uniform(-1.0, 1.0, size=(1, 3, *args.size)).astype(np.float32)
@@ -370,12 +381,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("detect", help="run detection on a binary PPM image")
     p.add_argument("image")
     p.add_argument("container")
-    p.add_argument("--scales", type=_comma_list(_parse_size),
-                   help="comma list of HxW test sizes")
-    p.add_argument("--single-scale", type=_parse_size, help="restrict to one HxW size")
-    p.add_argument("--conf", type=float, default=CONF_THRESHOLD)
-    p.add_argument("--nms-iou", type=float, default=NMS_IOU)
-    p.add_argument("--mean", type=float, default=0.5,
+    sizes = p.add_mutually_exclusive_group()
+    sizes.add_argument("--scales", type=_comma_list(_parse_size),
+                       help="comma list of HxW test sizes")
+    sizes.add_argument("--single-scale", type=_parse_size, help="restrict to one HxW size")
+    # string defaults pass through the type like given values
+    p.add_argument("--conf", type=_unit_float, default=str(CONF_THRESHOLD),
+                   help="score floor in [0,1]")
+    p.add_argument("--nms-iou", type=_unit_float, default=str(NMS_IOU),
+                   help="NMS overlap in [0,1]")
+    p.add_argument("--mean", type=_unit_float, default="0.5",
                    help="per-channel normalization mean in [0,1]")
     p.add_argument("--out", help="write JSON lines here instead of stdout")
     p.set_defaults(func=cmd_detect)

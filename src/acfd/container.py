@@ -3,22 +3,22 @@
 Layout: 5-byte magic ``ACFD\\0``, an 8-byte little-endian header length, the
 UTF-8 JSON header, then the payload blob. The header carries the format
 version, the fused flag, the structural config, and one entry per parameter
-with dims and byte offset into the payload; the entries tile the payload in
-order, with no gap, overlap or trailing byte. Entry order and canonical JSON
-make the byte layout deterministic: the same model always serializes to the
-same bytes.
+with dims and byte offset into the payload. A load reads the entries in build
+order, and each must equal the entry ``save`` writes for that parameter, so
+they tile the payload with no gap, overlap or trailing byte. Build order and
+canonical JSON make the byte layout deterministic: the same model always
+serializes to the same bytes.
 """
 from __future__ import annotations
 
 import io
 import json
 import math
-import os
 import struct
 
 import numpy as np
 
-from .model import DetectorModel, ModelConfig, model_from_arrays, named_arrays
+from .model import DetectorModel, ModelConfig, _build, named_arrays
 
 MAGIC = b"ACFD\0"
 FORMAT_VERSION = 1
@@ -32,17 +32,20 @@ class ContainerCorruptionError(ValueError):
     """Manifest and payload disagree."""
 
 
+def _entry(name: str, shape: tuple[int, ...], offset: int) -> dict:
+    """The header entry ``save`` writes for a parameter at a payload offset."""
+    return {"name": name, "dims": list(shape), "offset": offset,
+            "size": math.prod(shape) * 4}
+
+
 def save(model: DetectorModel) -> bytes:
-    arrays = named_arrays(model)
     entries = []
     chunks = []
     offset = 0
-    for name, arr in arrays.items():
-        data = np.ascontiguousarray(arr, dtype="<f4").tobytes()
-        entries.append({"name": name, "dims": list(arr.shape),
-                        "offset": offset, "size": len(data)})
-        chunks.append(data)
-        offset += len(data)
+    for name, arr in named_arrays(model).items():
+        entries.append(_entry(name, arr.shape, offset))
+        chunks.append(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+        offset += entries[-1]["size"]
     header = {
         "format_version": FORMAT_VERSION,
         "fused": model.fused,
@@ -55,8 +58,40 @@ def save(model: DetectorModel) -> bytes:
                      header_bytes, *chunks])
 
 
-def _read_header(fh) -> dict:
-    """Check magic, header length and format version; leaves fh at the payload."""
+def _from_payload(header: dict, payload: np.ndarray) -> DetectorModel:
+    """The model the config builds, each parameter a float32 view of one buffer
+    (4-byte entry sizes keep them aligned). As the build asks for parameter k,
+    entry k must be the one ``save`` writes for its name and shape at the
+    running offset."""
+    try:
+        config = ModelConfig.from_dict(header["config"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ContainerCorruptionError(f"bad config: {exc!r}") from exc
+    entries = iter(header["entries"])
+    offset = 0
+
+    def take(name, shape, draw):
+        nonlocal offset
+        expected = _entry(name, shape, offset)
+        if next(entries, None) != expected:
+            raise ContainerCorruptionError(
+                f"entry {name}: not the entry save writes, {expected}")
+        offset += expected["size"]
+        if offset > len(payload):
+            raise ContainerCorruptionError(f"entry {name}: payload out of bounds")
+        return payload[offset - expected["size"]:offset].view("<f4").reshape(shape)
+    model = _build(config, take, header["fused"])
+    if next(entries, None) is not None:
+        raise ContainerCorruptionError("entries past the last parameter the config names")
+    if offset != len(payload):
+        raise ContainerCorruptionError(
+            f"payload has {len(payload) - offset} bytes past the last entry")
+    return model
+
+
+def _load(fh) -> DetectorModel:
+    """Check magic, header length and format version, then read the payload
+    straight into one fresh buffer."""
     if fh.read(len(MAGIC)) != MAGIC:
         raise ContainerFormatError("bad magic; not a weight container")
     raw = fh.read(8)
@@ -79,61 +114,14 @@ def _read_header(fh) -> dict:
     for key, kind in (("entries", list), ("config", dict), ("fused", bool)):
         if not isinstance(header.get(key), kind):
             raise ContainerCorruptionError(f"header field {key!r} is not a {kind.__name__}")
-    return header
-
-
-def _is_count(value) -> bool:
-    return type(value) is int and value >= 0
-
-
-def _check_entry(entry, offset: int) -> None:
-    """Field types, dims against size, and the offset the previous entry ended at."""
-    if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
-            and isinstance(entry.get("dims"), list)
-            and all(_is_count(d) for d in entry["dims"])
-            and _is_count(entry.get("offset")) and _is_count(entry.get("size"))):
-        raise ContainerCorruptionError(f"malformed entry {str(entry)[:80]}")
-    name, dims, size = entry["name"], entry["dims"], entry["size"]
-    if math.prod(dims) * 4 != size:
-        raise ContainerCorruptionError(f"entry {name}: dims {dims} != size {size}")
-    if entry["offset"] != offset:
-        raise ContainerCorruptionError(
-            f"entry {name}: offset {entry['offset']} != {offset}; "
-            "entries must tile the payload in order")
-
-
-def _from_payload(header: dict, payload: np.ndarray) -> DetectorModel:
-    """The model over float32 views of one buffer; 4-byte entry sizes keep them aligned."""
-    arrays: dict[str, np.ndarray] = {}
-    offset = 0
-    for entry in header["entries"]:
-        _check_entry(entry, offset)
-        name, size = entry["name"], entry["size"]
-        if name in arrays:
-            raise ContainerCorruptionError(f"entry {name} is listed twice")
-        if offset + size > len(payload):
-            raise ContainerCorruptionError(f"entry {name}: payload out of bounds")
-        arrays[name] = payload[offset:offset + size].view("<f4").reshape(entry["dims"])
-        offset += size
-    if offset != len(payload):
-        raise ContainerCorruptionError(
-            f"payload has {len(payload) - offset} bytes past the last entry")
-
-    try:
-        config = ModelConfig.from_dict(header["config"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ContainerCorruptionError(f"bad config: {exc!r}") from exc
-    try:
-        return model_from_arrays(config, header["fused"], arrays)
-    except (TypeError, ValueError) as exc:
-        raise ContainerCorruptionError(f"entries do not match the config: {exc}") from exc
+    payload = np.empty(size - fh.tell(), np.uint8)
+    if fh.readinto(payload) != len(payload):
+        raise ContainerCorruptionError("payload changed while reading")
+    return _from_payload(header, payload)
 
 
 def load(blob: bytes) -> DetectorModel:
-    stream = io.BytesIO(blob)
-    header = _read_header(stream)
-    payload = np.frombuffer(blob, np.uint8, offset=stream.tell()).copy()
-    return _from_payload(header, payload)
+    return _load(io.BytesIO(blob))
 
 
 def save_file(model: DetectorModel, path) -> None:
@@ -143,14 +131,4 @@ def save_file(model: DetectorModel, path) -> None:
 
 def load_file(path) -> DetectorModel:
     with open(path, "rb") as fh:
-        header = _read_header(fh)
-        payload = np.empty(os.fstat(fh.fileno()).st_size - fh.tell(), np.uint8)
-        if fh.readinto(payload) != len(payload):
-            raise ContainerCorruptionError("payload changed while reading")
-    return _from_payload(header, payload)
-
-
-def is_fused_file(path) -> bool:
-    """Peek at the fused flag without materializing the model."""
-    with open(path, "rb") as fh:
-        return _read_header(fh)["fused"]
+        return _load(fh)

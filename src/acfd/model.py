@@ -11,7 +11,7 @@ from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
-from .anchors import HeadOutput, HeadSpec, build_head, head_forward
+from .anchors import STRIDES, HeadOutput, HeadSpec, build_head, head_forward
 from .backbone import (BackboneConfig, BackboneSpec, Param, StageConfig,
                        backbone_forward, build_backbone, check_grid, random_params,
                        tiny_backbone_config)
@@ -38,10 +38,17 @@ class ModelConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "ModelConfig":
-        backbone = BackboneConfig(
-            stem_channels=tuple(d["stem_channels"]),
-            stages=tuple(StageConfig(*row) for row in d["stages"]),
-        )
+        """ValueError unless the six-level detector can run the config."""
+        stem, stages = d["stem_channels"], d["stages"]
+        counts = [*stem, *(n for row in stages for n in row),
+                  d["neck_width"], d["neck_repeats"], d["head_tower"]]
+        if not (len(stem) == 3 and len(stages) == len(STRIDES)
+                and all(len(row) == 4 for row in stages)
+                and all(type(n) is int and n >= 1 for n in counts)):
+            raise ValueError(f"config is not 3 stem widths, {len(STRIDES)} stages "
+                             "of 4 and counts of at least 1")
+        backbone = BackboneConfig(stem_channels=tuple(stem),
+                                  stages=tuple(StageConfig(*row) for row in stages))
         return ModelConfig(backbone=backbone, neck_width=d["neck_width"],
                            neck_repeats=d["neck_repeats"], head_tower=d["head_tower"])
 
@@ -130,24 +137,6 @@ def named_arrays(model: DetectorModel) -> dict[str, np.ndarray]:
     return out
 
 
-def model_from_arrays(config: ModelConfig, fused: bool,
-                      arrays: dict[str, np.ndarray]) -> DetectorModel:
-    """Rebuild a model over the given arrays; allocates no parameter."""
-    remaining = dict(arrays)
-
-    def lookup(name, shape, draw):
-        value = remaining.pop(name, None)
-        if value is None:
-            raise ValueError(f"missing parameter {name}")
-        if value.shape != shape:
-            raise ValueError(f"parameter {name}: shape {value.shape} != expected {shape}")
-        return value
-    model = _build(config, lookup, fused)
-    if remaining:
-        raise ValueError(f"unknown parameters in container: {sorted(remaining)[:3]}")
-    return model
-
-
 # ---------------------------------------------------------------------------
 # analytic multiply-accumulate counting
 
@@ -156,7 +145,7 @@ def count_model_macs(model: DetectorModel, image_hw: tuple[int, int]) -> int:
     check_grid(image_hw)
     h, w = image_hw
     at = lambda stride: (h // stride, w // stride)  # input size of a map at stride
-    levels = [at(4 << i) for i in range(len(model.backbone.stages))]
+    levels = [at(s) for s in STRIDES]
     total = sum(block_macs(blk, at(s)) for blk, s in zip(model.backbone.stem, (1, 2, 2)))
     for stage, hw in zip(model.backbone.stages, levels):
         for blk in stage:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import resource
@@ -11,6 +12,7 @@ import pytest
 
 from acfd import cli, container, model, tensor_ops
 from acfd.anchors import generate_anchors
+from acfd.backbone import StageConfig
 from acfd.cli import build_parser, main
 from acfd.matching import dam_match
 from acfd.model import build_model, fuse_model, tiny_config
@@ -84,7 +86,7 @@ class TestFuse:
         assert main(["fuse", str(tiny_container), str(out)]) == 0
         stdout = capsys.readouterr().out
         assert out.exists()
-        assert container.is_fused_file(out)
+        assert container.load_file(out).fused
         err_line = [l for l in stdout.splitlines() if "max abs error" in l][0]
         assert float(err_line.split(":")[1]) <= 1e-4
         removed = [l for l in stdout.splitlines() if "parameters" in l][0]
@@ -367,7 +369,7 @@ class TestDetect:
         bad.write_bytes(blob[:5] + struct.pack("<Q", len(raw)) + raw + blob[13 + header_len:])
         assert main(["detect", str(ppm_image), str(bad)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("cannot read") and err.count("\n") == 1
+        assert err.startswith("bad container") and err.count("\n") == 1
 
     @pytest.mark.parametrize("edit", [
         lambda c: {**c, "neck_width": 10**9},
@@ -392,6 +394,24 @@ class TestDetect:
                               preexec_fn=limit_memory)
         assert proc.returncode == 1
         assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("stages", [
+        lambda s: (*s, s[-1]),
+        lambda s: s[:5],
+        lambda s: (StageConfig(0, 8, 16, 1), *s[1:]),
+    ], ids=["7-stages", "5-stages", "repeats-0-widths-differ"])
+    def test_config_the_detector_cannot_run_is_one_line_io_error(self, stages, ppm_image,
+                                                                  tmp_path, capsys):
+        # a consistent container: its entries are the ones save writes for the config
+        tiny = tiny_config()
+        config = dataclasses.replace(tiny, backbone=dataclasses.replace(
+            tiny.backbone, stages=stages(tiny.backbone.stages)))
+        odd = tmp_path / "odd.acfd"
+        container.save_file(build_model(config, seed=0), odd)
+        assert main(["detect", str(ppm_image), str(odd)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("bad container") and captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("name", ["head.cls.weight", "head.reg.weight"])
     def test_non_finite_head_output_is_one_line_io_error(self, name, ppm_image,
@@ -496,6 +516,14 @@ class TestBench:
     ["detect", "x.ppm", "w.acfd", "--single-scale", "20000x20000"],
     ["detect", "x.ppm", "w.acfd", "--scales", "480x645,640x4097"],
     ["match", "a.json", "p.json", "--image-size", "8192x8192"],
+    ["detect", "x.ppm", "w.acfd", "--mean", "nan"],
+    ["detect", "x.ppm", "w.acfd", "--conf", "nan"],
+    ["detect", "x.ppm", "w.acfd", "--nms-iou", "nan"],
+    ["detect", "x.ppm", "w.acfd", "--conf", "1.01"],
+    ["detect", "x.ppm", "w.acfd", "--mean", "-0.5"],
+    ["detect", "x.ppm", "w.acfd", "--nms-iou", "inf"],
+    ["detect", "x.ppm", "w.acfd", "--conf", "high"],
+    ["detect", "x.ppm", "w.acfd", "--scales", "128x128", "--single-scale", "128x128"],
 ])
 def test_malformed_argument_is_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as exc:

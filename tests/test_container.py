@@ -5,6 +5,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from acfd.container import (ContainerCorruptionError, ContainerFormatError,
                             load, load_file, save, save_file)
@@ -172,6 +174,41 @@ class TestEntriesTileThePayload:
     def test_rejected(self, tiny_model, edit):
         with pytest.raises(ContainerCorruptionError):
             load(_with_entries(save(tiny_model), edit))
+
+
+def _swapped_bn_stats(entries):
+    # the two entries keep their dims, offsets and sizes; only the names trade
+    mean, var = (e for e in entries if e["name"] in ("backbone.stem0.bn.mean",
+                                                     "backbone.stem0.bn.var"))
+    mean["name"], var["name"] = var["name"], mean["name"]
+
+
+def test_same_shape_entries_with_swapped_names_are_rejected(tiny_model):
+    with pytest.raises(ContainerCorruptionError):
+        load(_with_entries(save(tiny_model), _swapped_bn_stats))
+
+
+# a value per entry field, of its own kind and of the wrong JSON kinds
+_FIELD_VALUES = st.one_of(st.text(max_size=12), st.integers(-8, 1 << 40),
+                          st.lists(st.integers(0, 64), max_size=4),
+                          st.none(), st.booleans(), st.floats())
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_one_edited_entry_field_is_rejected(tiny_model, data):
+    blob = save(tiny_model)
+    (header_len,) = struct.unpack_from("<Q", blob, 5)
+    count = len(json.loads(blob[13:13 + header_len])["entries"])
+    index = data.draw(st.integers(0, count - 1), label="entry")
+    field = data.draw(st.sampled_from(["name", "dims", "offset", "size"]), label="field")
+    value = data.draw(_FIELD_VALUES, label="value")
+
+    def edit(entries):
+        assume(value != entries[index][field])
+        entries[index][field] = value
+    with pytest.raises(ContainerCorruptionError):
+        load(_with_entries(blob, edit))
 
 
 # save() digests of build_model(config, seed=0), unfused then fused: a change
