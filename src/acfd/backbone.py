@@ -182,10 +182,13 @@ def named_conv(param: Param, name: str, out_c: int, in_c: int, kh: int, kw: int,
 def named_bn(param: Param, name: str, channels: int) -> BNSpec:
     """Near-identity but non-trivial stats: folding is exercised end to end, and
     float32 fusion drift stays well inside the per-block budget when deep."""
-    return BNSpec(mean=param(f"{name}.mean", (channels,), sampled("normal", 0.0, 0.05)),
-                  var=param(f"{name}.var", (channels,), sampled("uniform", 0.8, 1.25)),
-                  gamma=param(f"{name}.gamma", (channels,), sampled("uniform", 0.9, 1.1)),
-                  beta=param(f"{name}.beta", (channels,), sampled("normal", 0.0, 0.05)))
+    bn = BNSpec(mean=param(f"{name}.mean", (channels,), sampled("normal", 0.0, 0.05)),
+                var=param(f"{name}.var", (channels,), sampled("uniform", 0.8, 1.25)),
+                gamma=param(f"{name}.gamma", (channels,), sampled("uniform", 0.9, 1.1)),
+                beta=param(f"{name}.beta", (channels,), sampled("normal", 0.0, 0.05)))
+    if not float(bn.var.min()) + bn.eps > 0:  # scale_shift's condition; NaN fails too
+        raise ValueError(f"{name}.var: var + eps must be positive")
+    return bn
 
 
 def named_conv_bn(param: Param, name: str, out_c: int, in_c: int, k: int,

@@ -21,8 +21,8 @@ from . import container, model, verify
 from .anchors import generate_anchors
 from .backbone import GRID_MULTIPLE
 from .matching import dam_match
-from .postprocess import (CONF_THRESHOLD, NMS_IOU, ScaleInfo, multi_scale_sizes,
-                          pad_to_grid, postprocess)
+from .postprocess import (CONF_THRESHOLD, NMS_IOU, TEST_SCALES, pad_to_grid, postprocess,
+                          scale_detections)
 from .ppm import read_ppm
 from .tensor_ops import bilinear_resize, openblas_threads
 
@@ -108,6 +108,10 @@ def cmd_fuse(args) -> int:
     if unfused.fused:
         print("input container is already fused", file=sys.stderr)
         return EXIT_USAGE
+    for name, array in model.named_arrays(unfused).items():
+        if not np.isfinite(array).all():  # folding would carry it into the output
+            print(f"bad container {args.input}: non-finite parameter {name}", file=sys.stderr)
+            return EXIT_IO
     fused = model.fuse_model(unfused)
     rng = np.random.default_rng(args.seed)
     # probe in the normalized-image range the detector actually sees
@@ -209,21 +213,27 @@ def cmd_match(args) -> int:
     return EXIT_OK
 
 
+class NonFiniteHeadOutput(Exception):
+    """A NaN score would drop every candidate and a NaN box print as invalid JSON."""
+
+
 def _detect_one_scale(image: np.ndarray, m: model.DetectorModel,
-                      scale_hw: tuple[int, int]) -> tuple:
-    orig_h, orig_w = image.shape[2], image.shape[3]
+                      scale_hw: tuple[int, int], conf: float) -> tuple:
+    """One scale's (boxes, scores) candidates in the source frame: resize into
+    the padded grid, run the forward pass, check it, select and decode."""
     sh, sw = scale_hw
-    ph, pw = pad_to_grid((sh, sw))
-    padded = np.zeros((1, 3, ph, pw), dtype=image.dtype)
-    bilinear_resize(image, (sh, sw), out=padded[:, :, :sh, :sw])
+    padded = np.zeros((1, 3, *pad_to_grid(scale_hw)), dtype=image.dtype)
+    bilinear_resize(image, scale_hw, out=padded[:, :, :sh, :sw])
     output = model.forward(m, padded)
-    info = ScaleInfo(padded_hw=(ph, pw), valid_hw=(sh, sw),
-                     scale_xy=(sw / orig_w, sh / orig_h))
-    return output, info
+    if not all(np.isfinite(a).all() for a in output.cls + output.reg):
+        raise NonFiniteHeadOutput(f"non-finite head output at scale {sh}x{sw}")
+    return scale_detections(output, scale_hw, image.shape[2:], conf)
 
 
-def _detect_scales(image: np.ndarray, m: model.DetectorModel, scales: list) -> list:
-    """(output, info) per scale, in the order of `scales`.
+def _detect_scales(image: np.ndarray, m: model.DetectorModel, scales: list,
+                   conf: float) -> list:
+    """(boxes, scores) candidates per scale, in the order of `scales`; the
+    first scale in that order whose head output is not finite raises.
 
     Several scales run at once, one per usable CPU, each on a one-thread
     OpenBLAS: a second BLAS thread spins between GEMMs, so one scale at a
@@ -241,14 +251,15 @@ def _detect_scales(image: np.ndarray, m: model.DetectorModel, scales: list) -> l
             print(f"running scales serially: no OpenBLAS thread hook ({exc})",
                   file=sys.stderr)
     if blas is None:
-        return [_detect_one_scale(image, m, s) for s in scales]
+        return [_detect_one_scale(image, m, s, conf) for s in scales]
     # largest padded grid first, so the longest forward starts at once
     order = sorted(range(len(scales)), key=lambda i: -np.prod(pad_to_grid(scales[i])))
     found = blas.get()
     blas.set(1)
     try:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {i: pool.submit(_detect_one_scale, image, m, scales[i]) for i in order}
+            futures = {i: pool.submit(_detect_one_scale, image, m, scales[i], conf)
+                       for i in order}
         return [futures[i].result() for i in range(len(scales))]
     finally:
         blas.set(found)
@@ -270,19 +281,12 @@ def cmd_detect(args) -> int:
     image /= 255.0
     image -= args.mean
 
-    if args.single_scale:
-        scales = [args.single_scale]
-    else:
-        scales = args.scales or multi_scale_sizes()
-    per_scale = _detect_scales(image, m, scales)
-    # a NaN score drops every candidate and a NaN box prints as invalid JSON
-    for (output, _), (sh, sw) in zip(per_scale, scales):
-        if not all(np.isfinite(a).all() for a in output.cls + output.reg):
-            print(f"bad container {args.container}: non-finite head output "
-                  f"at scale {sh}x{sw}", file=sys.stderr)
-            return EXIT_IO
-
-    boxes, scores = postprocess(per_scale, conf=args.conf, nms_iou=args.nms_iou)
+    try:
+        per_scale = _detect_scales(image, m, args.scales or TEST_SCALES, args.conf)
+    except NonFiniteHeadOutput as exc:
+        print(f"bad container {args.container}: {exc}", file=sys.stderr)
+        return EXIT_IO
+    boxes, scores = postprocess(per_scale, args.nms_iou)
     image_id = Path(args.image).stem
     lines = [
         f'{{"image_id": "{image_id}", "x1": {x1:.4f}, "y1": {y1:.4f}, '
@@ -384,7 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
     sizes = p.add_mutually_exclusive_group()
     sizes.add_argument("--scales", type=_comma_list(_parse_size),
                        help="comma list of HxW test sizes")
-    sizes.add_argument("--single-scale", type=_parse_size, help="restrict to one HxW size")
+    sizes.add_argument("--single-scale", dest="scales", metavar="SINGLE_SCALE",
+                       type=lambda text: [_parse_size(text)], help="restrict to one HxW size")
     # string defaults pass through the type like given values
     p.add_argument("--conf", type=_unit_float, default=str(CONF_THRESHOLD),
                    help="score floor in [0,1]")

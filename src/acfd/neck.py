@@ -61,7 +61,6 @@ class BifpnLayerSpec:
 
 @dataclass
 class BifpnSpec:
-    width: int
     laterals: list[Block]  # six 1x1 projections onto the common width
     layers: list[BifpnLayerSpec]
 
@@ -110,4 +109,4 @@ def build_neck(in_channels: tuple[int, ...], width: int, repeats: int,
         td_nodes=[node(f"neck.layer{li}.td{i}", 2) for i in range(n - 1)],
         bu_nodes=[node(f"neck.layer{li}.bu{i}", 3 if i < n - 2 else 2) for i in range(n - 1)],
     ) for li in range(repeats)]
-    return BifpnSpec(width=width, laterals=laterals, layers=layers)
+    return BifpnSpec(laterals=laterals, layers=layers)

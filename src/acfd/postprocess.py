@@ -8,8 +8,6 @@ corner-form boxes (k, 4) in original-image pixels and scores (k,).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .anchors import HeadOutput, decode, generate_anchors
@@ -23,25 +21,6 @@ NMS_IOU = 0.55
 FINAL_TOP = 100
 
 TEST_SCALES = ((480, 645), (640, 860), (800, 1075))
-
-
-@dataclass
-class ScaleInfo:
-    """Bookkeeping to map boxes from one test scale back to the source frame.
-
-    padded_hw: grid the network ran on (next multiples of 128).
-    valid_hw: resized image extent inside the padded grid.
-    scale_xy: original -> resized factors (resized = original * scale).
-    """
-
-    padded_hw: tuple[int, int]
-    valid_hw: tuple[int, int]
-    scale_xy: tuple[float, float]
-
-
-def multi_scale_sizes() -> list[tuple[int, int]]:
-    """The three fixed test resolutions (h, w)."""
-    return [tuple(s) for s in TEST_SCALES]
 
 
 def pad_to_grid(hw: tuple[int, int]) -> tuple[int, int]:
@@ -76,34 +55,32 @@ def nms(boxes: np.ndarray, scores: np.ndarray, iou_thresh: float = NMS_IOU,
     return np.array(keep, dtype=np.intp)
 
 
-def _per_scale_detections(output: HeadOutput, info: ScaleInfo,
-                          conf: float, top: int) -> tuple[np.ndarray, np.ndarray]:
+def scale_detections(output: HeadOutput, scale_hw: tuple[int, int],
+                     source_hw: tuple[int, int], conf: float = CONF_THRESHOLD
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """The top PER_SCALE_TOP (boxes (k, 4), scores (k,)) above ``conf`` of a forward on
+    ``pad_to_grid(scale_hw)``, clipped to ``scale_hw`` and mapped into ``source_hw``."""
     probs = sigmoid(output.flat_cls())[0]
     keep = np.flatnonzero(probs > conf)
     # stable sort: highest scores first, ties by anchor index
-    order = keep[np.argsort(-probs[keep], kind="stable")[:top]]
-    anchors = generate_anchors(info.padded_hw)
+    order = keep[np.argsort(-probs[keep], kind="stable")[:PER_SCALE_TOP]]
+    anchors = generate_anchors(pad_to_grid(scale_hw))
     boxes = decode(anchors[order], output.flat_reg()[0][order])
-    vh, vw = info.valid_hw
-    boxes[:, 0::2] = boxes[:, 0::2].clip(0, vw)
-    boxes[:, 1::2] = boxes[:, 1::2].clip(0, vh)
-    sx, sy = info.scale_xy
-    boxes[:, 0::2] /= sx
-    boxes[:, 1::2] /= sy
+    (sh, sw), (oh, ow) = scale_hw, source_hw
+    boxes[:, 0::2] = boxes[:, 0::2].clip(0, sw)
+    boxes[:, 1::2] = boxes[:, 1::2].clip(0, sh)
+    boxes[:, 0::2] /= sw / ow
+    boxes[:, 1::2] /= sh / oh
     return boxes, probs[order]
 
 
-def postprocess(per_scale_outputs: list[tuple[HeadOutput, ScaleInfo]],
-                conf: float = CONF_THRESHOLD,
-                per_scale_top: int = PER_SCALE_TOP,
-                nms_iou: float = NMS_IOU,
-                final_top: int = FINAL_TOP) -> tuple[np.ndarray, np.ndarray]:
-    """The kept (boxes (k, 4), scores (k,)) of all scales, highest score first."""
-    per_scale = [_per_scale_detections(output, info, conf, per_scale_top)
-                 for output, info in per_scale_outputs]
+def postprocess(per_scale: list[tuple[np.ndarray, np.ndarray]],
+                nms_iou: float = NMS_IOU) -> tuple[np.ndarray, np.ndarray]:
+    """The first FINAL_TOP kept (boxes (k, 4), scores (k,)) of NMS over every
+    scale's candidates, merged in scale order; highest score first."""
     boxes = np.concatenate([b for b, _ in per_scale])
     scores = np.concatenate([s for _, s in per_scale])
-    keep = nms(boxes, scores, nms_iou, final_top)
+    keep = nms(boxes, scores, nms_iou, FINAL_TOP)
     return boxes[keep], scores[keep]
 
 

@@ -194,8 +194,8 @@ def test_09_nms_oracle_and_postprocess_constants():
     for h, w in [(32, 32), (16, 16), (8, 8), (4, 4), (2, 2), (1, 1)]:
         out.cls.append(np.full((1, 1, h, w), 3.0, dtype=np.float32))
         out.reg.append(np.zeros((1, 4, h, w), dtype=np.float32))
-    info = postprocess.ScaleInfo((128, 128), (128, 128), (1.0, 1.0))
-    _, scores = postprocess.postprocess([(out, info)])
+    _, scores = postprocess.postprocess([postprocess.scale_detections(out, (128, 128),
+                                                                      (128, 128))])
     capped = len(scores) <= 100
     report(9, "nms-oracle-postprocess", agree and constants_ok and capped,
            f"oracle agree={agree}, constants={constants_ok}, {len(scores)} final dets")
@@ -251,8 +251,8 @@ def test_11_synthetic_pipeline_sanity():
             sl = slice(offsets[lvl], offsets[lvl + 1])
             output.cls.append(logits[sl].reshape(1, 1, h, w))
             output.reg.append(deltas[sl].reshape(1, h, w, 4).transpose(0, 3, 1, 2))
-        info = postprocess.ScaleInfo((256, 256), (256, 256), (1.0, 1.0))
-        all_dets.append(postprocess.postprocess([(output, info)]))
+        all_dets.append(postprocess.postprocess(
+            [postprocess.scale_detections(output, (256, 256), (256, 256))]))
     ap = postprocess.evaluate_ap(dataset, all_dets)
     report(11, "synthetic-pipeline-sanity", ap >= 0.95, f"AP {ap:.4f} on 50 images")
 

@@ -42,6 +42,17 @@ def _assert_matches_row_major_gemm(out: Path) -> None:
             assert abs(now[key] - then[key]) <= 1e-3, (key, now, then)
 
 
+def _with_first_value(path: Path, name: str, value: float, out: Path) -> Path:
+    """A copy of the container at `path` whose parameter `name` starts with `value`."""
+    blob = bytearray(path.read_bytes())
+    (header_len,) = struct.unpack_from("<Q", blob, 5)
+    entries = json.loads(blob[13:13 + header_len])["entries"]
+    offset = next(e["offset"] for e in entries if e["name"] == name)
+    struct.pack_into("<f", blob, 13 + header_len + offset, value)
+    out.write_bytes(blob)
+    return out
+
+
 @pytest.fixture(scope="module")
 def tiny_container(tmp_path_factory):
     path = tmp_path_factory.mktemp("weights") / "tiny.acfd"
@@ -110,6 +121,18 @@ class TestFuse:
         assert main(["fuse", str(bad), str(tmp_path / "out.acfd")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("bad container") and err.count("\n") == 1
+
+
+    def test_non_finite_parameter_is_one_line_io_error(self, tiny_container, tmp_path,
+                                                       capsys):
+        name = "neck.layer0.td0.acb.square.weight"
+        bad = _with_first_value(tiny_container, name, np.nan, tmp_path / "nan.acfd")
+        out = tmp_path / "out.acfd"
+        assert main(["fuse", str(bad), str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"bad container {bad}: non-finite parameter {name}\n"
+        assert not out.exists()
 
 
 class TestVerify:
@@ -287,13 +310,45 @@ class TestDetect:
         assert blas.get() == 3
         capsys.readouterr()
 
-    def test_concurrent_scales_return_in_scale_order(self, tiny_container, monkeypatch):
-        # submitted largest padded grid first; postprocess merges in scale order
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    def test_concurrent_scales_return_in_scale_order(self, tiny_container, blas,
+                                                     monkeypatch):
+        # submitted largest padded grid first; each scale's candidates come back
+        # in scale order, equal to the ones the serial path computes
+        image = np.random.default_rng(0).uniform(-0.5, 0.5, (1, 3, 96, 128))
+        image = image.astype(np.float32)
+        m = container.load_file(tiny_container)
         scales = [(128, 128), (384, 256), (256, 256)]
-        per_scale = cli._detect_scales(np.zeros((1, 3, 96, 128), dtype=np.float32),
-                                       container.load_file(tiny_container), scales)
-        assert [info.valid_hw for _, info in per_scale] == scales
+        if blas:
+            blas.set(1)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+        serial = cli._detect_scales(image, m, scales, cli.CONF_THRESHOLD)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        pooled = cli._detect_scales(image, m, scales, cli.CONF_THRESHOLD)
+        assert len(pooled) == len(serial) == len(scales)
+        assert len({scores.tobytes() for _, scores in serial}) == len(scales)  # distinct
+        for (boxes, scores), (want_boxes, want_scores) in zip(pooled, serial):
+            np.testing.assert_array_equal(boxes, want_boxes)
+            np.testing.assert_array_equal(scores, want_scores)
+
+    def test_pooled_non_finite_scale_is_named(self, ppm_image, tiny_container, blas,
+                                              monkeypatch, capsys):
+        if blas is None:
+            pytest.skip("numpy's OpenBLAS has no thread hook")
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        forward = model.forward
+
+        def nan_forward(m, image):
+            output = forward(m, image)
+            if image.shape[2:] == (256, 256):  # the second scale only
+                output.cls[0][0, 0, 0, 0] = np.nan
+            return output
+        monkeypatch.setattr(model, "forward", nan_forward)
+        assert main(["detect", str(ppm_image), str(tiny_container),
+                     "--scales", "128x128,256x256,384x256"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"bad container {tiny_container}: non-finite head output "
+                                "at scale 256x256\n")
 
     def test_missing_blas_hook_runs_serially(self, ppm_image, tiny_container, tmp_path,
                                              monkeypatch, capsys):
@@ -501,6 +556,22 @@ class TestBench:
         assert main(["bench", str(fused_container), "--repeats", "1"]) == 2
 
 
+@pytest.mark.parametrize("command", ["fuse", "detect", "bench"])
+def test_negative_bn_variance_is_one_line_io_error(command, tiny_container, ppm_image,
+                                                   tmp_path, capsys):
+    bad = _with_first_value(tiny_container, "backbone.stem0.bn.var", -2.0,
+                            tmp_path / "negative.acfd")
+    out = tmp_path / "out.acfd"
+    argv = {"fuse": ["fuse", str(bad), str(out)],
+            "detect": ["detect", str(ppm_image), str(bad)],
+            "bench": ["bench", str(bad), "--repeats", "1", "--size", "128x128"]}[command]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith(f"bad container {bad}: backbone.stem0.bn.var")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["bench", "w.acfd", "--size", "abc"],
     ["bench", "w.acfd", "--size", "100x100"],
@@ -536,7 +607,7 @@ def test_malformed_argument_is_usage_error(argv, capsys):
 def test_largest_size_is_accepted():
     args = build_parser().parse_args(["detect", "x.ppm", "w.acfd", "--single-scale",
                                       f"{cli.MAX_SIDE}x{cli.MAX_SIDE}"])
-    assert args.single_scale == (cli.MAX_SIDE, cli.MAX_SIDE)
+    assert args.scales == [(cli.MAX_SIDE, cli.MAX_SIDE)]
 
 
 def test_console_entry_point_runs():

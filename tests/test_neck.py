@@ -92,7 +92,7 @@ class TestAbifpnForward:
     def test_repeats_compose(self):
         rng = np.random.default_rng(4)
         neck1 = build_neck((8,) * 6, width=8, repeats=1, param=random_params(rng))
-        neck2 = BifpnSpec(width=8, laterals=neck1.laterals,
+        neck2 = BifpnSpec(laterals=neck1.laterals,
                           layers=[neck1.layers[0], neck1.layers[0]])
         pyramid = tiny_pyramid(np.random.default_rng(5))
         stacked = abifpn_forward(pyramid, neck2)

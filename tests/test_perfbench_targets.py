@@ -73,8 +73,7 @@ def test_nms_span_counts_candidates_and_kept(tracing):
             output.cls.append(rng.normal(size=(1, 1, side, side)).astype(np.float32))
             output.reg.append(rng.normal(scale=0.1, size=(1, 4, side, side))
                               .astype(np.float32))
-        per_scale.append((output, postprocess.ScaleInfo((512, 512), (512, 512),
-                                                        (1.0, 1.0))))
+        per_scale.append(postprocess.scale_detections(output, (512, 512), (512, 512)))
     nms = postprocess.nms
     tracer = tracing.Tracer()
     with tracer:

@@ -5,8 +5,8 @@ import pytest
 
 from acfd.anchors import HeadOutput, generate_anchors
 from acfd.matching import iou_matrix
-from acfd.postprocess import (ScaleInfo, evaluate_ap, multi_scale_sizes, nms,
-                              pad_to_grid, postprocess)
+from acfd.postprocess import (TEST_SCALES, evaluate_ap, nms, pad_to_grid, postprocess,
+                              scale_detections)
 from acfd.tensor_ops import sigmoid
 from acfd.verify import nms_reference
 
@@ -25,10 +25,6 @@ def blank_output(dims=LEVEL_DIMS_128, logit=-20.0):
         out.cls.append(np.full((1, 1, h, w), logit, dtype=np.float32))
         out.reg.append(np.zeros((1, 4, h, w), dtype=np.float32))
     return out
-
-
-def identity_info(hw):
-    return ScaleInfo(padded_hw=hw, valid_hw=hw, scale_xy=(1.0, 1.0))
 
 
 class TestNms:
@@ -88,7 +84,7 @@ class TestNms:
 
 class TestPostprocess:
     def test_all_low_logits_empty(self):
-        boxes, scores = postprocess([(blank_output(), identity_info((128, 128)))])
+        boxes, scores = postprocess([scale_detections(blank_output(), (128, 128), (128, 128))])
         assert boxes.shape == (0, 4) and scores.shape == (0,)
 
     def test_single_strong_anchor_traced(self):
@@ -96,9 +92,8 @@ class TestPostprocess:
         # level 2 (stride 16), cell (2, 3): center (56, 40), side 64
         output.cls[2][0, 0, 2, 3] = 2.0
         output.reg[2][0, :, 2, 3] = [0.1, -0.05, np.log(1.25), 0.0]
-        info = ScaleInfo(padded_hw=(128, 128), valid_hw=(128, 128),
-                         scale_xy=(0.5, 0.5))
-        boxes, scores = postprocess([(output, info)])
+        # a 128x128 scale of a 256x256 source: boxes map back at 1 / 0.5
+        boxes, scores = postprocess([scale_detections(output, (128, 128), (256, 256))])
         assert len(scores) == 1
         assert scores[0] == pytest.approx(float(sigmoid(np.array([2.0]))[0]))
         cx, cy, w, h = 56 + 0.1 * 64, 40 - 0.05 * 64, 64 * 1.25, 64.0
@@ -109,7 +104,7 @@ class TestPostprocess:
         output = blank_output()
         output.cls[0][0, 0, 0, 0] = np.log(0.0799 / (1 - 0.0799))
         output.cls[0][0, 0, 10, 10] = np.log(0.0801 / (1 - 0.0801))
-        _, scores = postprocess([(output, identity_info((128, 128)))])
+        _, scores = postprocess([scale_detections(output, (128, 128), (128, 128))])
         assert len(scores) == 1
         assert scores[0] == pytest.approx(0.0801, abs=1e-5)
 
@@ -124,32 +119,27 @@ class TestPostprocess:
                 output.cls[0][0, 0, i, j] = 3.0 - 0.01 * count
                 output.reg[0][0, 2:, i, j] = shrink
                 count += 1
-        _, scores = postprocess([(output, identity_info((128, 128)))])
+        _, scores = postprocess([scale_detections(output, (128, 128), (128, 128))])
         assert len(scores) == 100
         assert scores.tolist() == sorted(scores.tolist(), reverse=True)
         worst_kept = float(sigmoid(np.array([3.0 - 0.01 * 99]))[0])
         assert scores[-1] == pytest.approx(worst_kept, abs=1e-6)
 
-    def test_final_top_zero_is_empty(self):
-        output = blank_output()
-        output.cls[2][0, 0, 2, 3] = 2.0
-        boxes, scores = postprocess([(output, identity_info((128, 128)))], final_top=0)
-        assert boxes.shape == (0, 4) and scores.shape == (0,)
-
     def test_peak_memory_over_3000_candidates(self):
         # an N x N float64 IoU matrix over these candidates peaks at about 350 MB
         rng = np.random.default_rng(5)
         dims = [(512 // s, 512 // s) for s in (4, 8, 16, 32, 64, 128)]
-        per_scale = []
+        outputs = []
         for _ in range(3):
             output = blank_output(dims)
             for cls, reg in zip(output.cls, output.reg):
                 cls[...] = rng.normal(size=cls.shape)
                 reg[...] = rng.normal(scale=0.1, size=reg.shape)
-            per_scale.append((output, identity_info((512, 512))))
+            outputs.append(output)
         tracemalloc.start()
         try:
-            _, scores = postprocess(per_scale)
+            _, scores = postprocess([scale_detections(output, (512, 512), (512, 512))
+                                     for output in outputs])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -161,16 +151,14 @@ class TestPostprocess:
                                     (4, 4), (2, 2)])
         flat = output.cls[0][0, 0].reshape(-1)
         flat[:1100] = np.linspace(3.0, 1.0, 1100)
-        _, scores = postprocess([(output, identity_info((256, 256)))],
-                                nms_iou=1.01, final_top=5000)
+        _, scores = scale_detections(output, (256, 256), (256, 256))
         assert len(scores) == 1000
 
     def test_detections_clipped_to_valid_frame(self):
         output = blank_output()
         output.cls[5][0, 0, 0, 0] = 4.0  # stride-128 anchor, side 512
-        info = ScaleInfo(padded_hw=(128, 128), valid_hw=(100, 90),
-                         scale_xy=(1.0, 1.0))
-        boxes, _ = postprocess([(output, info)])
+        # a 100x90 scale runs on a 128x128 grid
+        boxes, _ = postprocess([scale_detections(output, (100, 90), (100, 90))])
         assert len(boxes) == 1
         x1, y1, x2, y2 = boxes[0]
         assert x1 >= 0 and y1 >= 0 and x2 <= 90 and y2 <= 100
@@ -178,7 +166,7 @@ class TestPostprocess:
 
 class TestScales:
     def test_fixed_sizes(self):
-        assert multi_scale_sizes() == [(480, 645), (640, 860), (800, 1075)]
+        assert TEST_SCALES == ((480, 645), (640, 860), (800, 1075))
 
     def test_pad_to_grid(self):
         assert pad_to_grid((480, 645)) == (512, 768)
@@ -188,7 +176,7 @@ class TestScales:
 
     def test_box_rescale_roundtrip(self):
         rng = np.random.default_rng(1)
-        for sh, sw in multi_scale_sizes():
+        for sh, sw in TEST_SCALES:
             sx, sy = sw / 1000.0, sh / 750.0
             box = rng.uniform(0, 700, size=4)
             mapped = box * np.array([sx, sy, sx, sy])

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from acfd import tensor_ops
-from acfd.postprocess import multi_scale_sizes
+from acfd.postprocess import TEST_SCALES
 from acfd.tensor_ops import (BNSpec, ConvSpec, ShapeError, batch_norm_infer,
                              bilinear_resize, concat_channels, conv2d,
                              conv2d_direct, conv_output_shape, global_avg_pool,
@@ -341,7 +341,7 @@ class TestBilinearResize:
         np.testing.assert_allclose(out[0, 0, 0], [0.0, 0.25, 0.75, 1.0], atol=1e-6)
 
     @pytest.mark.parametrize("shape, target, dtype", [
-        *[((1, 3, 96, 128), scale, np.float32) for scale in multi_scale_sizes()],
+        *[((1, 3, 96, 128), scale, np.float32) for scale in TEST_SCALES],
         ((1, 3, 180, 240), (97, 131), np.float32),
         ((2, 3, 13, 17), (31, 7), np.float32),
         ((1, 2, 1, 9), (5, 4), np.float32),
