@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fusion import AcbSpec, Block, ConvBn, acb_forward
+from .fusion import AcbSpec, Block, ConvBn, acb_forward, block_conv
 from .tensor_ops import (BNSpec, ConvSpec, ShapeError, check_tensor4,
                          concat_channels, conv2d, global_avg_pool, linear,
                          max_pool2d, relu, sigmoid)
@@ -32,12 +32,12 @@ def check_grid(hw: tuple[int, int]) -> None:
         raise ShapeError(f"image dims must be divisible by {GRID_MULTIPLE}, got {h}x{w}")
 
 
-def block_forward(x: np.ndarray, block: Block) -> np.ndarray:
+def block_forward(x: np.ndarray, block: Block, out: np.ndarray | None = None) -> np.ndarray:
     if isinstance(block, AcbSpec):
-        return acb_forward(x, block)
+        return acb_forward(x, block, out)
     if isinstance(block, ConvBn):
-        return block.forward(x)
-    return conv2d(x, block)
+        return block.forward(x, out)
+    return conv2d(x, block, out=out)
 
 
 @dataclass
@@ -49,14 +49,16 @@ class EseSpec:
 
 
 def ese_attention(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """Gate channels by sigmoid(FC(global average pool)), broadcast multiply."""
+    """Gate channels by sigmoid(FC(global average pool)), in place: every
+    caller passes a projection output it has just made."""
     check_tensor4(x)
     c = x.shape[1]
     if weight.shape != (c, c):
         raise ShapeError(f"ese weight {weight.shape} != ({c},{c})")
     pooled = global_avg_pool(x)[:, :, 0, 0]
     gate = sigmoid(linear(pooled, weight, bias))
-    return x * gate[:, :, None, None]
+    x *= gate[:, :, None, None]
+    return x
 
 
 @dataclass
@@ -70,12 +72,14 @@ class AosaSpec:
 
 
 def aosa_forward(x: np.ndarray, spec: AosaSpec) -> np.ndarray:
-    feats = [x]
-    cur = x
-    for block in spec.acbs:
-        cur = relu(block_forward(cur, block))
-        feats.append(cur)
-    out = relu(block_forward(concat_channels(feats), spec.projection))
+    """Each layer writes into its slice of one concat buffer that starts with x."""
+    widths = [block_conv(block).out_c for block in spec.acbs]
+    cat = concat_channels(x, sum(widths))
+    cur, c0 = x, x.shape[1]
+    for block, c in zip(spec.acbs, widths):
+        cur = relu(block_forward(cur, block, out=cat[:, c0:c0 + c]))
+        c0 += c
+    out = relu(block_forward(cat, spec.projection))
     out = ese_attention(out, spec.ese.weight, spec.ese.bias)
     if spec.residual:
         out += x

@@ -287,9 +287,9 @@ def cmd_detect(args) -> int:
         print(f"bad container {args.container}: {exc}", file=sys.stderr)
         return EXIT_IO
     boxes, scores = postprocess(per_scale, args.nms_iou)
-    image_id = Path(args.image).stem
+    image_id = json.dumps(Path(args.image).stem, ensure_ascii=False)
     lines = [
-        f'{{"image_id": "{image_id}", "x1": {x1:.4f}, "y1": {y1:.4f}, '
+        f'{{"image_id": {image_id}, "x1": {x1:.4f}, "y1": {y1:.4f}, '
         f'"x2": {x2:.4f}, "y2": {y2:.4f}, "score": {score:.4f}}}'
         for (x1, y1, x2, y2), score in zip(boxes.tolist(), scores.tolist())
     ]

@@ -24,8 +24,8 @@ class ConvBn:
     conv: ConvSpec
     bn: BNSpec
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        return batch_norm_infer(conv2d(x, self.conv), self.bn)
+    def forward(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        return batch_norm_infer(conv2d(x, self.conv, out=out), self.bn)
 
 
 @dataclass
@@ -57,9 +57,9 @@ class AcbSpec:
         return self.square.conv.stride
 
 
-def acb_forward(x: np.ndarray, spec: AcbSpec) -> np.ndarray:
-    """Sum of the three normalized branch outputs (the fusion oracle)."""
-    out = spec.square.forward(x)
+def acb_forward(x: np.ndarray, spec: AcbSpec, out: np.ndarray | None = None) -> np.ndarray:
+    """Sum of the three normalized branch outputs (the fusion oracle), into out."""
+    out = spec.square.forward(x, out)
     out += spec.horizontal.forward(x)
     out += spec.vertical.forward(x)
     return out
@@ -123,12 +123,19 @@ def map_blocks(tree, leaf):
     return tree
 
 
+def block_conv(block: Block) -> ConvSpec:
+    """The convolution that sets a block's output shape (an ACB's 3x3 branch)."""
+    if isinstance(block, AcbSpec):
+        return block.square.conv
+    return block.conv if isinstance(block, ConvBn) else block
+
+
 def block_macs(block: Block, in_hw: tuple[int, int]) -> int:
     """Multiply-accumulate count of one block at the given input size."""
     if isinstance(block, AcbSpec):
         return sum(block_macs(b, in_hw)
                    for b in (block.square, block.horizontal, block.vertical))
-    spec = block.conv if isinstance(block, ConvBn) else block
+    spec = block_conv(block)
     oh = conv_output_shape(in_hw[0], spec.kh, spec.stride[0], spec.padding[0])
     ow = conv_output_shape(in_hw[1], spec.kw, spec.stride[1], spec.padding[1])
     return spec.out_c * spec.in_c * spec.kh * spec.kw * oh * ow

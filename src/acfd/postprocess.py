@@ -62,6 +62,10 @@ def scale_detections(output: HeadOutput, scale_hw: tuple[int, int],
     ``pad_to_grid(scale_hw)``, clipped to ``scale_hw`` and mapped into ``source_hw``."""
     probs = sigmoid(output.flat_cls())[0]
     keep = np.flatnonzero(probs > conf)
+    if len(keep) > PER_SCALE_TOP:
+        # only scores at or above the PER_SCALE_TOP-th highest can be kept
+        cut = np.partition(probs[keep], -PER_SCALE_TOP)[-PER_SCALE_TOP]
+        keep = keep[probs[keep] >= cut]
     # stable sort: highest scores first, ties by anchor index
     order = keep[np.argsort(-probs[keep], kind="stable")[:PER_SCALE_TOP]]
     anchors = generate_anchors(pad_to_grid(scale_hw))

@@ -1,10 +1,13 @@
 """Dense NCHW tensor primitives.
 
-Every operation works on contiguous numpy arrays in (batch, channel, height,
-width) layout, float32 by default, and preserves the input dtype so the same
-code path serves the float64 verification mode. ``conv2d_direct`` and
-``max_pool2d_direct`` are the plain-loop references against which the im2col
-conv and the separable max pool are checked.
+Every operation works on numpy arrays in (batch, channel, height, width)
+layout, float32 by default, and preserves the input dtype so the same code
+path serves the float64 verification mode. ``relu`` and ``batch_norm_infer``
+overwrite their input and return it; ``conv2d`` and ``bilinear_resize`` write
+into ``out`` when given one, such as a channel slice of a concat buffer from
+``concat_channels``; every other op returns a new array. ``conv2d_direct``
+and ``max_pool2d_direct`` are the plain-loop references against which the
+im2col conv and the separable max pool are checked.
 """
 from __future__ import annotations
 
@@ -158,14 +161,15 @@ def _tap_outputs(size: int, out: int, tap: int, stride: int, pad: int) -> tuple[
     return lo, max(lo, min(out, (size - 1 + pad - tap) // stride + 1))
 
 
-def conv2d(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
+def conv2d(x: np.ndarray, spec: ConvSpec, out: np.ndarray | None = None) -> np.ndarray:
     """2-D cross-correlation with zero padding (im2col + GEMM path).
 
     Columns are channel-major and built one block of output rows at a time,
     at most COLS_BLOCK_BYTES per block: each kernel tap copies its in-bounds
     window of the unpadded input and zeroes the strips that fall in the
     padding. kernel @ cols writes each block straight into its rows of the
-    (c, n, h, w) output, which is NCHW when n == 1.
+    (n, out_c, oh, ow) output: a new array, or ``out`` when given, such as a
+    channel slice of a wider NCHW buffer, which is returned.
     """
     oh, ow = _check_conv_dims(x, spec)
     n, c, h, w = x.shape
@@ -173,18 +177,24 @@ def conv2d(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
     sh, sw = spec.stride
     ph, pw = spec.padding
     weight = spec.weight.reshape(spec.out_c, -1)
-    out = np.empty((spec.out_c, n, oh, ow), dtype=x.dtype)
+    if out is None:
+        out = np.empty((n, spec.out_c, oh, ow), dtype=x.dtype)
+    elif out.shape != (n, spec.out_c, oh, ow) or out.dtype != x.dtype:
+        raise ShapeError(f"out is {out.dtype} {out.shape}, expected {x.dtype} "
+                         f"{(n, spec.out_c, oh, ow)}")
+    out_rows = out.transpose(1, 0, 2, 3).reshape(spec.out_c, n, oh * ow)
+    if not np.may_share_memory(out_rows, out):  # a copy: the writes would be lost
+        raise ShapeError(f"out with strides {out.strides} has no (out_c, n, oh*ow) view")
     if (kh, kw, sh, sw, ph, pw) == (1, 1, 1, 1, 0, 0):
-        # the input itself is the column matrix (a view when n == 1)
-        cols = x.transpose(1, 0, 2, 3).reshape(c, n * oh * ow)
-        np.matmul(weight, cols, out=out.reshape(spec.out_c, n * oh * ow))
+        # each image's input itself is the column matrix (a view when contiguous)
+        for b in range(n):
+            np.matmul(weight, x[b].reshape(c, h * w), out=out_rows[:, b])
     else:
         rows = max(1, min(oh, COLS_BLOCK_BYTES // (c * kh * kw * ow * x.itemsize)))
         # zeroed once: a tap's column strips in the padding are never written
         cols = np.zeros((c, kh, kw, rows, ow), dtype=x.dtype)
         row_taps = [_tap_outputs(h, oh, i, sh, ph) for i in range(kh)]
         col_taps = [_tap_outputs(w, ow, j, sw, pw) for j in range(kw)]
-        out_rows = out.reshape(spec.out_c, n, oh * ow)
         for b in range(n):
             for r0 in range(0, oh, rows):
                 r = min(rows, oh - r0)
@@ -203,8 +213,8 @@ def conv2d(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
                 np.matmul(weight, cols.reshape(-1, rows * ow)[:, :r * ow],
                           out=out_rows[:, b, r0 * ow:(r0 + r) * ow])
     if spec.bias is not None:
-        out += spec.bias[:, None, None, None]
-    return np.ascontiguousarray(out.transpose(1, 0, 2, 3))
+        out += spec.bias[:, None, None]
+    return out
 
 
 def conv2d_direct(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
@@ -233,16 +243,15 @@ def conv2d_direct(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
 
 
 def batch_norm_infer(x: np.ndarray, bn: BNSpec) -> np.ndarray:
-    """Per-channel affine normalization using stored statistics."""
+    """Per-channel affine normalization using stored statistics, in place:
+    every caller passes a conv output it has just made."""
     check_tensor4(x)
     if x.shape[1] != bn.channels:
         raise ShapeError(f"input has {x.shape[1]} channels, bn expects {bn.channels}")
     a, b = bn.scale_shift()
-    a = a.astype(x.dtype).reshape(1, -1, 1, 1)
-    b = b.astype(x.dtype).reshape(1, -1, 1, 1)
-    out = x * a
-    out += b
-    return out
+    x *= a.astype(x.dtype).reshape(1, -1, 1, 1)
+    x += b.astype(x.dtype).reshape(1, -1, 1, 1)
+    return x
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -357,17 +366,16 @@ def resize_nearest(x: np.ndarray, target: tuple[int, int]) -> np.ndarray:
     return np.ascontiguousarray(x[:, :, rows][:, :, :, cols])
 
 
-def concat_channels(inputs: list[np.ndarray]) -> np.ndarray:
-    if not inputs:
-        raise ShapeError("concat_channels needs at least one input")
-    first = inputs[0]
-    check_tensor4(first)
-    for t in inputs[1:]:
-        check_tensor4(t)
-        if t.shape[0] != first.shape[0] or t.shape[2:] != first.shape[2:]:
-            raise ShapeError(
-                f"concat_channels spatial/batch mismatch: {t.shape} vs {first.shape}")
-    return np.concatenate(inputs, axis=1)
+def concat_channels(head: np.ndarray, channels: int) -> np.ndarray:
+    """The (n, c + channels, h, w) buffer of a channel concatenation, with
+    ``head`` copied into its first c channels; the caller writes the rest."""
+    check_tensor4(head, "head")
+    if channels < 0:
+        raise ShapeError(f"concat_channels needs channels >= 0, got {channels}")
+    n, c, h, w = head.shape
+    buf = np.empty((n, c + channels, h, w), dtype=head.dtype)
+    buf[:, :c] = head
+    return buf
 
 
 def bilinear_resize(image: np.ndarray, target: tuple[int, int],

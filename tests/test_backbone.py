@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from acfd import tensor_ops
 from acfd.backbone import (AosaSpec, BackboneConfig, EseSpec, aosa_forward,
                            backbone_forward, build_backbone, ese_attention,
                            kaiming_conv, random_acb, random_bn, random_params,
@@ -43,13 +46,18 @@ class TestEseAttention:
     def test_zero_weight_halves_activations(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(2, 3, 5, 5)).astype(np.float32)
-        out = ese_attention(x, np.zeros((3, 3), np.float32), np.zeros(3, np.float32))
+        out = ese_attention(x.copy(), np.zeros((3, 3), np.float32), np.zeros(3, np.float32))
         np.testing.assert_allclose(out, 0.5 * x, atol=1e-7)
 
     def test_zero_input(self):
         x = np.zeros((1, 2, 3, 3), dtype=np.float32)
-        out = ese_attention(x, np.eye(2, dtype=np.float32), np.zeros(2, np.float32))
+        out = ese_attention(x.copy(), np.eye(2, dtype=np.float32), np.zeros(2, np.float32))
         np.testing.assert_array_equal(out, x)
+
+    def test_gates_in_place(self):
+        x = np.full((1, 2, 3, 3), 2.0, dtype=np.float32)
+        assert ese_attention(x, np.zeros((2, 2), np.float32), np.zeros(2, np.float32)) is x
+        np.testing.assert_allclose(x, 1.0)
 
     def test_weight_shape_checked(self):
         with pytest.raises(ShapeError):
@@ -103,6 +111,45 @@ class TestAosaForward:
         for h, w in [(6, 6), (7, 9), (12, 5)]:
             x = rng.normal(size=(1, 4, h, w)).astype(np.float32)
             assert aosa_forward(x, spec).shape == (1, 8, h, w)
+
+    def test_batch_of_two_matches_each_image(self):
+        rng = np.random.default_rng(9)
+        spec = AosaSpec(acbs=[random_acb(rng, 4, 6), random_acb(rng, 6, 6)],
+                        projection=ConvBn(kaiming_conv(rng, 4, 4 + 2 * 6, 1, 1),
+                                          random_bn(rng, 4)),
+                        ese=EseSpec(rng.normal(size=(4, 4)).astype(np.float32),
+                                    np.zeros(4, np.float32)),
+                        residual=True)
+        x = rng.normal(size=(2, 4, 7, 9)).astype(np.float32)
+        out = aosa_forward(x, spec)
+        for b in range(2):
+            np.testing.assert_allclose(out[b:b + 1], aosa_forward(x[b:b + 1], spec),
+                                       atol=1e-5, rtol=1e-5)
+
+    def test_peak_memory_is_one_concat_buffer(self):
+        # five fused layers write into one (1, 6c, h, w) buffer; the peak is
+        # that buffer plus one column block or the projection output, not the
+        # layer maps and a concatenated copy of them (twice the buffer)
+        rng = np.random.default_rng(10)
+        c, h, w, layers = 8, 256, 256, 5
+        spec = AosaSpec(
+            acbs=[fuse_block(random_acb(rng, c, c)) for _ in range(layers)],
+            projection=fuse_block(ConvBn(kaiming_conv(rng, c, (layers + 1) * c, 1, 1),
+                                         random_bn(rng, c))),
+            ese=EseSpec(np.zeros((c, c), np.float32), np.zeros(c, np.float32)),
+            residual=True)
+        x = rng.normal(size=(1, c, h, w)).astype(np.float32)
+        buffer = (layers + 1) * x.nbytes
+        cols_row = c * 9 * w * x.itemsize
+        cols = tensor_ops.COLS_BLOCK_BYTES // cols_row * cols_row
+        tracemalloc.start()
+        try:
+            out = aosa_forward(x, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == x.shape
+        assert peak < buffer + max(cols, out.nbytes) + 2**20
 
 
 class TestBackboneForward:

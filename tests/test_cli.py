@@ -257,6 +257,19 @@ class TestDetect:
             assert set(rec) == {"image_id", "x1", "y1", "x2", "y2", "score"}
             assert rec["image_id"] == "scene"
 
+    def test_image_id_with_quote_and_backslash_is_valid_json(self, ppm_image,
+                                                             tiny_container, tmp_path):
+        image = tmp_path / 'a"b\\c.ppm'
+        image.write_bytes(ppm_image.read_bytes())
+        proc = subprocess.run(
+            [sys.executable, "-m", "acfd.cli", "detect", str(image), str(tiny_container),
+             "--single-scale", "128x128"],
+            capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines
+        assert all(json.loads(line)["image_id"] == 'a"b\\c' for line in lines)
+
     def test_single_scale(self, ppm_image, tiny_container, capsys):
         assert main(["detect", str(ppm_image), str(tiny_container),
                      "--single-scale", "128x128"]) == 0

@@ -3,7 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from acfd.anchors import HeadOutput, generate_anchors
+from acfd import postprocess as postprocess_module
+from acfd.anchors import HeadOutput, decode, generate_anchors
 from acfd.matching import iou_matrix
 from acfd.postprocess import (TEST_SCALES, evaluate_ap, nms, pad_to_grid, postprocess,
                               scale_detections)
@@ -153,6 +154,39 @@ class TestPostprocess:
         flat[:1100] = np.linspace(3.0, 1.0, 1100)
         _, scores = scale_detections(output, (256, 256), (256, 256))
         assert len(scores) == 1000
+
+    @pytest.mark.parametrize("logits", [
+        # 1500 ties at the 1000th score
+        pytest.param(np.repeat([2.0, 1.0, 0.0, -20.0], [500, 1500, 2000, 1460]),
+                     id="ties-at-the-cut"),
+        pytest.param(np.repeat([1.0, -20.0], [5000, 460]), id="all-tied"),
+        pytest.param(np.repeat([2.0, 1.0, -20.0], [300, 400, 4760]),
+                     id="fewer-than-1000"),
+        pytest.param(np.repeat([1.0, 0.5, -20.0], [400, 600, 4460]), id="exactly-1000"),
+    ])
+    def test_partial_selection_matches_the_full_stable_sort(self, logits, monkeypatch):
+        dims = [(64, 64), (32, 32), (16, 16), (8, 8), (4, 4), (2, 2)]
+        output = blank_output(dims)
+        logits = np.random.default_rng(8).permutation(logits).astype(np.float32)
+        start = 0
+        for cls, reg in zip(output.cls, output.reg):
+            size = cls.size
+            cls[...] = logits[start:start + size].reshape(cls.shape)
+            # each anchor's first delta is its index, so decode sees the order
+            reg[0, 0] = np.arange(start, start + size).reshape(cls.shape[2:])
+            start += size
+        seen = []
+
+        def recording_decode(anchors, deltas):
+            seen.append(deltas[:, 0].astype(np.intp))
+            return decode(anchors, deltas)
+        monkeypatch.setattr(postprocess_module, "decode", recording_decode)
+        _, scores = scale_detections(output, (256, 256), (256, 256))
+        probs = sigmoid(output.flat_cls())[0]
+        keep = np.flatnonzero(probs > 0.08)
+        expected = keep[np.argsort(-probs[keep], kind="stable")[:1000]]
+        assert np.array_equal(seen[0], expected)
+        assert np.array_equal(scores, probs[expected])
 
     def test_detections_clipped_to_valid_frame(self):
         output = blank_output()

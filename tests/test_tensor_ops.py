@@ -164,6 +164,55 @@ class TestConv2d:
         assert out.shape == (1, 64, 256, 256)
         assert peak < out.nbytes + tensor_ops.COLS_BLOCK_BYTES + 8 * 2**20
 
+    @pytest.mark.parametrize("bias", [False, True], ids=["no-bias", "bias"])
+    @pytest.mark.parametrize("kernel, stride, padding, rows", [
+        pytest.param((1, 1), (1, 1), (0, 0), None, id="1x1"),
+        pytest.param((3, 3), (1, 1), (1, 1), None, id="3x3"),
+        pytest.param((3, 3), (1, 1), (1, 1), 2, id="3x3-blocks"),
+        pytest.param((3, 3), (2, 2), (1, 1), None, id="3x3-stride2"),
+    ])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_out_channel_slice_of_a_wider_buffer(self, n, kernel, stride, padding,
+                                                 rows, bias, monkeypatch):
+        rng = np.random.default_rng(15)
+        x = rng.normal(size=(n, 3, 9, 10)).astype(np.float32)
+        spec = make_conv(rng.normal(size=(4, 3, *kernel)),
+                         bias=rng.normal(size=4) if bias else None,
+                         stride=stride, padding=padding)
+        set_block_rows(monkeypatch, rows, x, spec)
+        fresh = conv2d(x, spec)
+        buf = rng.normal(size=(n, 9, *fresh.shape[2:])).astype(np.float32)
+        before = buf.copy()
+        got = conv2d(x, spec, out=buf[:, 2:6])
+        assert got.base is buf
+        assert np.array_equal(buf[:, 2:6], fresh)
+        np.testing.assert_allclose(buf[:, 2:6], conv2d_direct(x, spec),
+                                   atol=1e-4, rtol=1e-4)
+        assert np.array_equal(buf[:, :2], before[:, :2])
+        assert np.array_equal(buf[:, 6:], before[:, 6:])
+
+    @pytest.mark.parametrize("shape, dtype", [
+        pytest.param((1, 5, 8, 8), np.float32, id="channels"),
+        pytest.param((2, 4, 8, 8), np.float32, id="batch"),
+        pytest.param((1, 4, 8, 7), np.float32, id="width"),
+        pytest.param((1, 4, 8, 8), np.float64, id="dtype"),
+    ])
+    def test_out_of_the_wrong_shape_raises(self, shape, dtype):
+        spec = make_conv(np.ones((4, 3, 3, 3)), padding=(1, 1))
+        with pytest.raises(ShapeError):
+            conv2d(np.ones((1, 3, 8, 8), dtype=np.float32), spec,
+                   out=np.zeros(shape, dtype=dtype))
+
+    @pytest.mark.parametrize("kernel", [(1, 1), (3, 3)])
+    def test_out_a_reshape_would_copy_is_rejected(self, kernel):
+        # rows of a wider map: (oh, ow) do not merge, so a reshape would copy
+        # and the GEMM would fill the copy
+        spec = make_conv(np.ones((4, 3, *kernel)), padding=(kernel[0] // 2,) * 2)
+        buf = np.zeros((1, 4, 8, 11), dtype=np.float32)
+        with pytest.raises(ShapeError):
+            conv2d(np.ones((1, 3, 8, 8), dtype=np.float32), spec, out=buf[..., :8])
+        assert not buf.any()
+
     def test_matches_scipy_correlate(self):
         scipy_signal = pytest.importorskip("scipy.signal")
         rng = np.random.default_rng(3)
@@ -189,7 +238,7 @@ class TestBatchNorm:
         x = rng.normal(size=(2, 3, 4, 4)).astype(np.float32)
         bn = BNSpec(mean=np.zeros(3), var=np.ones(3),
                     gamma=np.ones(3), beta=np.zeros(3), eps=0.0)
-        np.testing.assert_allclose(batch_norm_infer(x, bn), x, atol=1e-7)
+        np.testing.assert_allclose(batch_norm_infer(x.copy(), bn), x, atol=1e-7)
 
     def test_constant_channel_gives_beta(self):
         mean = np.array([2.0, -1.0])
@@ -210,6 +259,13 @@ class TestBatchNorm:
         const = (bn.beta - bn.mean * scale[0, :, 0, 0]).reshape(1, 2, 1, 1)
         np.testing.assert_allclose(batch_norm_infer(a * x, bn),
                                    a * scale * x + const, atol=1e-6)
+
+    def test_normalizes_in_place(self):
+        x = np.full((1, 1, 2, 2), 2.0, dtype=np.float32)
+        bn = BNSpec(mean=np.array([1.0]), var=np.array([4.0]),
+                    gamma=np.array([3.0]), beta=np.array([0.5]), eps=0.0)
+        assert batch_norm_infer(x, bn) is x
+        np.testing.assert_allclose(x, 2.0)
 
     def test_length_mismatch_raises(self):
         bn = BNSpec(mean=np.zeros(2), var=np.ones(2),
@@ -395,24 +451,35 @@ def _bilinear_reference(image, target):
 class TestConcat:
     def test_single_input(self):
         x = np.ones((1, 2, 3, 3), dtype=np.float32)
-        np.testing.assert_array_equal(concat_channels([x]), x)
+        cat = concat_channels(x, 0)
+        np.testing.assert_array_equal(cat, x)
+        assert not np.shares_memory(cat, x)
 
     def test_channel_arithmetic(self):
-        a = np.zeros((1, 2, 4, 4), dtype=np.float32)
-        b = np.zeros((1, 3, 4, 4), dtype=np.float32)
-        assert concat_channels([a, b]).shape == (1, 5, 4, 4)
+        a = np.zeros((2, 2, 4, 4), dtype=np.float32)
+        cat = concat_channels(a, 3)
+        assert cat.shape == (2, 5, 4, 4) and cat.dtype == np.float32
 
     def test_roundtrip_slices(self):
         rng = np.random.default_rng(6)
         a = rng.normal(size=(1, 2, 4, 4)).astype(np.float32)
         b = rng.normal(size=(1, 3, 4, 4)).astype(np.float32)
-        cat = concat_channels([a, b])
-        np.testing.assert_array_equal(cat[:, :2], a)
-        np.testing.assert_array_equal(cat[:, 2:], b)
+        cat = concat_channels(a, 3)
+        cat[:, 2:] = b
+        np.testing.assert_array_equal(cat, np.concatenate([a, b], axis=1))
+        cat[:, :2] = 0
+        assert a.any()
 
     def test_spatial_mismatch_raises(self):
+        # a layer map of another size cannot be written into the buffer
+        cat = concat_channels(np.zeros((1, 1, 4, 4), dtype=np.float32), 1)
         with pytest.raises(ShapeError):
-            concat_channels([np.zeros((1, 1, 4, 4)), np.zeros((1, 1, 5, 4))])
+            conv2d(np.zeros((1, 1, 5, 4), dtype=np.float32),
+                   make_conv(np.ones((1, 1, 1, 1))), out=cat[:, 1:])
+        with pytest.raises(ShapeError):
+            concat_channels(np.zeros((1, 4, 4), dtype=np.float32), 1)
+        with pytest.raises(ShapeError):
+            concat_channels(np.zeros((1, 1, 4, 4), dtype=np.float32), -1)
 
 
 def _enumerate_positions(size, kernel, stride, pad):
