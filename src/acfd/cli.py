@@ -217,30 +217,46 @@ class NonFiniteHeadOutput(Exception):
     """A NaN score would drop every candidate and a NaN box print as invalid JSON."""
 
 
-def _detect_one_scale(image: np.ndarray, m: model.DetectorModel,
-                      scale_hw: tuple[int, int], conf: float) -> tuple:
-    """One scale's (boxes, scores) candidates in the source frame: resize into
-    the padded grid, run the forward pass, check it, select and decode."""
+def _scale_input(pixels: np.ndarray, mean: float, scale_hw: tuple[int, int]) -> np.ndarray:
+    """The zero-padded (1, 3, *pad_to_grid(scale_hw)) float32 input of an (H, W, 3)
+    uint8 frame: one channel plane at a time is normalized, as the whole frame
+    would be, into one (1, 1, H, W) buffer and resized into its channel."""
     sh, sw = scale_hw
-    padded = np.zeros((1, 3, *pad_to_grid(scale_hw)), dtype=image.dtype)
-    bilinear_resize(image, scale_hw, out=padded[:, :, :sh, :sw])
-    output = model.forward(m, padded)
+    padded = np.zeros((1, 3, *pad_to_grid(scale_hw)), dtype=np.float32)
+    plane = np.empty((1, 1, *pixels.shape[:2]), dtype=np.float32)
+    for ch in range(3):
+        plane[0, 0] = pixels[:, :, ch]
+        plane /= 255.0
+        plane -= mean
+        bilinear_resize(plane, scale_hw, out=padded[:, ch:ch + 1, :sh, :sw])
+    return padded
+
+
+def _detect_one_scale(pixels: np.ndarray, mean: float, m: model.DetectorModel,
+                      scale_hw: tuple[int, int], conf: float) -> tuple:
+    """One scale's (boxes, scores) candidates in the source frame: its input,
+    the forward pass, the finiteness check, selection and decoding."""
+    sh, sw = scale_hw
+    output = model.forward(m, _scale_input(pixels, mean, scale_hw))
     if not all(np.isfinite(a).all() for a in output.cls + output.reg):
         raise NonFiniteHeadOutput(f"non-finite head output at scale {sh}x{sw}")
-    return scale_detections(output, scale_hw, image.shape[2:], conf)
+    return scale_detections(output, scale_hw, pixels.shape[:2], conf)
 
 
-def _detect_scales(image: np.ndarray, m: model.DetectorModel, scales: list,
-                   conf: float) -> list:
-    """(boxes, scores) candidates per scale, in the order of `scales`; the
-    first scale in that order whose head output is not finite raises.
+def _detect_scales(pixels: np.ndarray, mean: float, m: model.DetectorModel,
+                   scales: list, conf: float) -> list:
+    """(boxes, scores) candidates per scale of the (H, W, 3) uint8 frame, in
+    the order of `scales`; the first scale in that order whose head output is
+    not finite raises.
 
     Several scales run at once, one per usable CPU, each on a one-thread
     OpenBLAS: a second BLAS thread spins between GEMMs, so one scale at a
     time on two threads was slower for the tiny and the full model alike.
-    Scales that run at once each hold their own activations, which raises
-    peak memory. One scale, one CPU or an OpenBLAS without the thread-count
-    hook runs serially on the BLAS thread count as found.
+    Scales that run at once each hold their own activations and column
+    block, which raises peak memory; the frame they share stays uint8, and
+    each worker normalizes one channel plane at a time while it resizes.
+    One scale, one CPU or an OpenBLAS without the thread-count hook runs
+    serially on the BLAS thread count as found.
     """
     workers = min(len(scales), _usable_cpus())
     blas = None
@@ -251,14 +267,14 @@ def _detect_scales(image: np.ndarray, m: model.DetectorModel, scales: list,
             print(f"running scales serially: no OpenBLAS thread hook ({exc})",
                   file=sys.stderr)
     if blas is None:
-        return [_detect_one_scale(image, m, s, conf) for s in scales]
+        return [_detect_one_scale(pixels, mean, m, s, conf) for s in scales]
     # largest padded grid first, so the longest forward starts at once
     order = sorted(range(len(scales)), key=lambda i: -np.prod(pad_to_grid(scales[i])))
     found = blas.get()
     blas.set(1)
     try:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {i: pool.submit(_detect_one_scale, image, m, scales[i], conf)
+            futures = {i: pool.submit(_detect_one_scale, pixels, mean, m, scales[i], conf)
                        for i in order}
         return [futures[i].result() for i in range(len(scales))]
     finally:
@@ -274,15 +290,9 @@ def cmd_detect(args) -> int:
     m = _load_model(args.container)
     if m is None:
         return EXIT_IO
-    # normalized in one NCHW buffer, in place: no full-size temporaries
-    image = np.empty((1, 3, *pixels.shape[:2]), dtype=np.float32)
-    image[0] = pixels.transpose(2, 0, 1)
-    del pixels
-    image /= 255.0
-    image -= args.mean
-
     try:
-        per_scale = _detect_scales(image, m, args.scales or TEST_SCALES, args.conf)
+        per_scale = _detect_scales(pixels, args.mean, m, args.scales or TEST_SCALES,
+                                   args.conf)
     except NonFiniteHeadOutput as exc:
         print(f"bad container {args.container}: {exc}", file=sys.stderr)
         return EXIT_IO

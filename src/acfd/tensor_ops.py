@@ -106,8 +106,9 @@ class BNSpec:
 
 
 # Bytes of im2col columns conv2d builds per GEMM: whole output rows, at least one.
-# Each concurrently running scale holds one block.
-COLS_BLOCK_BYTES = 4 << 20
+# Each concurrently running scale holds one block, and 2 MiB fits it in the 2 MiB
+# L2 of the core its worker runs on.
+COLS_BLOCK_BYTES = 2 << 20
 
 
 class BlasThreads(NamedTuple):
@@ -165,7 +166,8 @@ def conv2d(x: np.ndarray, spec: ConvSpec, out: np.ndarray | None = None) -> np.n
     """2-D cross-correlation with zero padding (im2col + GEMM path).
 
     Columns are channel-major and built one block of output rows at a time,
-    at most COLS_BLOCK_BYTES per block: each kernel tap copies its in-bounds
+    at most COLS_BLOCK_BYTES per block unless one row is larger, in which
+    case a block is that one row: each kernel tap copies its in-bounds
     window of the unpadded input and zeroes the strips that fall in the
     padding. kernel @ cols writes each block straight into its rows of the
     (n, out_c, oh, ow) output: a new array, or ``out`` when given, such as a

@@ -5,6 +5,7 @@ import resource
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -275,6 +276,47 @@ class TestDetect:
                      "--single-scale", "128x128"]) == 0
         capsys.readouterr()
 
+    @pytest.mark.parametrize("mean", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("frame_hw,scale_hw", [
+        ((37, 53), (37, 53)),       # the scale is the frame: a copy, no resample
+        ((37, 53), (128, 200)),     # upsampled, padded to 128x256
+        ((95, 127), (61, 90)),      # downsampled, odd sizes on both sides
+    ])
+    def test_scale_input_matches_whole_frame_normalization(self, mean, frame_hw,
+                                                           scale_hw):
+        # per plane, then resized: the same bits as normalizing the whole NCHW
+        # frame at once and resizing that into the padded grid
+        pixels = np.random.default_rng(4).integers(0, 256, (*frame_hw, 3), dtype=np.uint8)
+        pixels[0, 0], pixels[-1, -1] = 0, 255
+        image = np.empty((1, 3, *frame_hw), dtype=np.float32)
+        image[0] = pixels.transpose(2, 0, 1)
+        image /= 255.0
+        image -= mean
+        want = np.zeros((1, 3, *cli.pad_to_grid(scale_hw)), dtype=np.float32)
+        tensor_ops.bilinear_resize(image, scale_hw,
+                                   out=want[:, :, :scale_hw[0], :scale_hw[1]])
+        got = cli._scale_input(pixels, mean, scale_hw)
+        assert got.dtype == np.float32 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_peak_memory_is_below_the_float_frame(self, fused_container, tmp_path):
+        # the decoded frame stays uint8 (9 MB here) and each scale normalizes
+        # one channel plane at a time, so a detect never holds the whole
+        # float32 frame (36 MB here)
+        pixels = np.random.default_rng(5).integers(0, 256, (1500, 2000, 3), dtype=np.uint8)
+        image = tmp_path / "large.ppm"
+        write_ppm(image, pixels)
+        float_frame = pixels.size * 4
+        del pixels
+        tracemalloc.start()
+        try:
+            assert main(["detect", str(image), str(fused_container),
+                         "--single-scale", "128x128", "--out", str(tmp_path / "o.jsonl")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < float_frame
+
     def test_worker_threads_preserve_output(self, ppm_image, tiny_container, blas,
                                             tmp_path, monkeypatch):
         args = ["detect", str(ppm_image), str(tiny_container),
@@ -327,16 +369,15 @@ class TestDetect:
                                                      monkeypatch):
         # submitted largest padded grid first; each scale's candidates come back
         # in scale order, equal to the ones the serial path computes
-        image = np.random.default_rng(0).uniform(-0.5, 0.5, (1, 3, 96, 128))
-        image = image.astype(np.float32)
+        pixels = np.random.default_rng(0).integers(0, 256, (96, 128, 3), dtype=np.uint8)
         m = container.load_file(tiny_container)
         scales = [(128, 128), (384, 256), (256, 256)]
         if blas:
             blas.set(1)
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
-        serial = cli._detect_scales(image, m, scales, cli.CONF_THRESHOLD)
+        serial = cli._detect_scales(pixels, 0.5, m, scales, cli.CONF_THRESHOLD)
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
-        pooled = cli._detect_scales(image, m, scales, cli.CONF_THRESHOLD)
+        pooled = cli._detect_scales(pixels, 0.5, m, scales, cli.CONF_THRESHOLD)
         assert len(pooled) == len(serial) == len(scales)
         assert len({scores.tobytes() for _, scores in serial}) == len(scales)  # distinct
         for (boxes, scores), (want_boxes, want_scores) in zip(pooled, serial):
@@ -497,14 +538,18 @@ class TestDetect:
         assert str(bad) in proc.stderr and "non-finite" in proc.stderr
         assert not out.exists()
 
-    def test_default_scales_output_is_pinned(self, ppm_image, fused_container, tmp_path):
+    def test_default_scales_output_is_pinned(self, ppm_image, fused_container, tmp_path,
+                                             monkeypatch):
         # 3000 candidates, 1772 of them survive full NMS; the digest was recorded
-        # with the channel-major conv columns (kernel @ cols)
-        out = tmp_path / "golden.jsonl"
-        assert main(["detect", str(ppm_image), str(fused_container),
-                     "--out", str(out)]) == 0
-        assert out.read_text().count("\n") == 100
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_DETECT_SHA256
+        # with the channel-major conv columns (kernel @ cols) in 4 MiB blocks,
+        # and the shipped blocks give the same bytes
+        for block_bytes in (tensor_ops.COLS_BLOCK_BYTES, 4 << 20):
+            monkeypatch.setattr(tensor_ops, "COLS_BLOCK_BYTES", block_bytes)
+            out = tmp_path / f"golden-{block_bytes}.jsonl"
+            assert main(["detect", str(ppm_image), str(fused_container),
+                         "--out", str(out)]) == 0
+            assert out.read_text().count("\n") == 100
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_DETECT_SHA256
 
     def test_default_scales_output_matches_row_major_gemm(self, ppm_image,
                                                           fused_container, tmp_path):
