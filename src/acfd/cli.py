@@ -132,8 +132,7 @@ def cmd_fuse(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = verify.run_all(seed=args.seed, inject_fault=args.inject_fault,
-                             t1=args.t1, t2=args.t2, margin=args.margin)
+    results = verify.run_all(seed=args.seed, inject_fault=args.inject_fault)
     if args.json:
         print(json.dumps({
             "checks": [{"name": r.name, "passed": r.passed, "detail": r.detail}
@@ -188,7 +187,7 @@ def cmd_match(args) -> int:
     except OSError as exc:
         print(f"cannot read input: {exc}", file=sys.stderr)
         return EXIT_IO
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         print(f"malformed JSON: {exc}", file=sys.stderr)
         return EXIT_IO
     anchors = generate_anchors(args.image_size)
@@ -375,9 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the property-check battery")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--t1", type=float, default=0.35)
-    p.add_argument("--t2", type=float, default=0.7)
-    p.add_argument("--margin", type=float, default=0.2)
     p.add_argument("--json", action="store_true")
     p.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_verify)

@@ -104,7 +104,7 @@ def _load(fh) -> DetectorModel:
     fh.seek(len(MAGIC) + 8)
     try:
         header = json.loads(fh.read(header_len).decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ContainerCorruptionError(f"unreadable header: {exc}") from exc
     if not isinstance(header, dict):
         raise ContainerCorruptionError("header is not a JSON object")

@@ -156,22 +156,18 @@ def _check_conv_dims(x: np.ndarray, spec: ConvSpec) -> tuple[int, int]:
     return oh, ow
 
 
-def _tap_outputs(size: int, out: int, tap: int, stride: int, pad: int) -> tuple[int, int]:
-    """Outputs [lo, hi) whose source pixel o*stride + tap - pad lies in [0, size)."""
-    lo = min(out, max(0, -((tap - pad) // stride)))
-    return lo, max(lo, min(out, (size - 1 + pad - tap) // stride + 1))
-
-
 def conv2d(x: np.ndarray, spec: ConvSpec, out: np.ndarray | None = None) -> np.ndarray:
     """2-D cross-correlation with zero padding (im2col + GEMM path).
 
     Columns are channel-major and built one block of output rows at a time,
     at most COLS_BLOCK_BYTES per block unless one row is larger, in which
-    case a block is that one row: each kernel tap copies its in-bounds
-    window of the unpadded input and zeroes the strips that fall in the
-    padding. kernel @ cols writes each block straight into its rows of the
-    (n, out_c, oh, ow) output: a new array, or ``out`` when given, such as a
-    channel slice of a wider NCHW buffer, which is returned.
+    case a block is that one row. Each block's input rows are copied into
+    the middle columns of a zero-padded row strip, the strip rows that fall
+    in the top or bottom padding are zeroed, and one strided view of the
+    strip fills the block's columns. kernel @ cols writes each block straight
+    into its rows of the (n, out_c, oh, ow) output: a new array, or ``out``
+    when given, such as a channel slice of a wider NCHW buffer, which is
+    returned.
     """
     oh, ow = _check_conv_dims(x, spec)
     n, c, h, w = x.shape
@@ -193,25 +189,21 @@ def conv2d(x: np.ndarray, spec: ConvSpec, out: np.ndarray | None = None) -> np.n
             np.matmul(weight, x[b].reshape(c, h * w), out=out_rows[:, b])
     else:
         rows = max(1, min(oh, COLS_BLOCK_BYTES // (c * kh * kw * ow * x.itemsize)))
-        # zeroed once: a tap's column strips in the padding are never written
-        cols = np.zeros((c, kh, kw, rows, ow), dtype=x.dtype)
-        row_taps = [_tap_outputs(h, oh, i, sh, ph) for i in range(kh)]
-        col_taps = [_tap_outputs(w, ow, j, sw, pw) for j in range(kw)]
+        cols = np.empty((c, kh, kw, rows, ow), dtype=x.dtype)
+        # zeroed once: its pad columns are never written
+        strip = np.zeros((c, (rows - 1) * sh + kh, w + 2 * pw), dtype=x.dtype)
+        s_c, s_y, s_x = strip.strides
         for b in range(n):
             for r0 in range(0, oh, rows):
                 r = min(rows, oh - r0)
-                for i, (lo, hi) in enumerate(row_taps):
-                    top, bot = min(max(lo - r0, 0), r), min(max(hi - r0, 0), r)
-                    y0 = (r0 + top) * sh + i - ph
-                    for j, (left, right) in enumerate(col_taps):
-                        slab = cols[:, i, j]
-                        slab[:, :top] = 0
-                        slab[:, bot:r] = 0
-                        if top < bot and left < right:
-                            x0 = left * sw + j - pw
-                            slab[:, top:bot, left:right] = x[
-                                b, :, y0:y0 + sh * (bot - top):sh,
-                                x0:x0 + sw * (right - left):sw]
+                y0, span = r0 * sh - ph, (r - 1) * sh + kh
+                lo = max(y0, 0)
+                hi = max(lo, min(y0 + span, h))
+                strip[:, :lo - y0] = 0
+                strip[:, lo - y0:hi - y0, pw:pw + w] = x[b, :, lo:hi]
+                strip[:, hi - y0:span] = 0
+                cols[:, :, :, :r] = np.lib.stride_tricks.as_strided(
+                    strip, (c, kh, kw, r, ow), (s_c, s_y, s_x, sh * s_y, sw * s_x))
                 np.matmul(weight, cols.reshape(-1, rows * ow)[:, :r * ow],
                           out=out_rows[:, b, r0 * ow:(r0 + r) * ow])
     if spec.bias is not None:

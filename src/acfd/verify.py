@@ -229,15 +229,14 @@ def check_loss_gradients(rng: np.random.Generator, points: int = 200,
     return CheckResult("loss-gradients", ok, f"{checked} points, worst rel {worst:.2e}")
 
 
-def run_all(seed: int = 0, inject_fault: bool = False, t1: float = 0.35,
-            t2: float = 0.7, margin: float = 0.2) -> list[CheckResult]:
+def run_all(seed: int = 0, inject_fault: bool = False) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     return [
         check_anchor_count(),
         check_conv_bn_folding(rng),
         check_acb_fusion(rng, inject_fault=inject_fault),
         check_model_fusion_drift(seed),
-        check_dam_oracle(rng, t1=t1, t2=t2),
+        check_dam_oracle(rng),
         check_nms_oracle(rng),
-        check_loss_gradients(rng, margin=margin),
+        check_loss_gradients(rng),
     ]

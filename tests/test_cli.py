@@ -245,6 +245,26 @@ class TestMatch:
         assert main(["match", str(ann), str(pred)]) == 1
 
 
+@pytest.mark.parametrize("command", ["detect", "fuse", "match"])
+def test_deeply_nested_json_is_one_line_io_error(command, ppm_image, tmp_path):
+    # json gives up on the nesting with RecursionError, not JSONDecodeError
+    deep = b"[" * 200_000 + b"]" * 200_000
+    if command == "match":
+        (tmp_path / "deep.json").write_bytes(deep)
+        argv, prefix = ["match", "deep.json", "deep.json"], "malformed JSON: "
+    else:
+        (tmp_path / "deep.acfd").write_bytes(
+            b"ACFD\0" + struct.pack("<Q", len(deep)) + deep)
+        argv = (["detect", str(ppm_image), "deep.acfd"] if command == "detect"
+                else ["fuse", "deep.acfd", "out.acfd"])
+        prefix = "bad container deep.acfd: unreadable header: "
+    proc = subprocess.run([sys.executable, "-m", "acfd.cli", *argv], cwd=tmp_path,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(prefix) and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
 class TestDetect:
     def test_smoke_and_determinism(self, ppm_image, tiny_container, tmp_path):
         out1, out2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"

@@ -106,6 +106,12 @@ class TestCorruptionHandling:
         with pytest.raises(ContainerCorruptionError):
             load(blob[:40])
 
+    def test_deeply_nested_header_is_unreadable(self):
+        # json gives up on the nesting with RecursionError, not JSONDecodeError
+        deep = b"[" * 200_000 + b"]" * 200_000
+        with pytest.raises(ContainerCorruptionError, match="^unreadable header: "):
+            load(b"ACFD\0" + struct.pack("<Q", len(deep)) + deep)
+
     def test_dims_size_mismatch(self, tiny_model):
         blob = save(tiny_model)
         (header_len,) = struct.unpack_from("<Q", blob, 5)

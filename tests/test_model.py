@@ -5,11 +5,20 @@ import pytest
 
 from acfd import container
 from acfd.anchors import anchor_count
-from acfd.backbone import random_params
+from acfd.backbone import BackboneConfig, StageConfig, random_params
 from acfd.fusion import map_blocks
 from acfd.model import (ModelConfig, _build, build_model, count_model_macs, forward,
                         full_config, fuse_model, named_arrays, tiny_config)
 from acfd.tensor_ops import ShapeError, conv2d, linear
+
+
+# full_config's topology at desk width: two stages of two blocks, and stages whose
+# output is wider than their input, so blocks without a residual run as well
+NARROW_FULL_TOPOLOGY = ModelConfig(
+    backbone=BackboneConfig(stem_channels=(4, 4, 8), stages=(
+        StageConfig(1, 4, 12, 3), StageConfig(1, 6, 16, 3), StageConfig(2, 6, 20, 3),
+        StageConfig(2, 8, 24, 3), StageConfig(1, 8, 8, 2), StageConfig(1, 8, 8, 2))),
+    neck_width=8)
 
 
 @pytest.fixture(scope="module")
@@ -32,11 +41,11 @@ def test_forward_640_covers_all_34125_anchors(tiny_model):
 
 
 def test_fusion_drift_within_budget(tiny_model):
-    fused = fuse_model(tiny_model)
     img = np.random.default_rng(1).uniform(-1, 1, (1, 3, 128, 128)).astype(np.float32)
-    a, b = forward(tiny_model, img), forward(fused, img)
-    worst = max(float(np.abs(x - y).max()) for x, y in zip(a.cls + a.reg, b.cls + b.reg))
-    assert worst <= 1e-3
+    for m in (tiny_model, build_model(NARROW_FULL_TOPOLOGY, seed=0)):
+        a, b = forward(m, img), forward(fuse_model(m), img)
+        worst = max(float(np.abs(x - y).max()) for x, y in zip(a.cls + a.reg, b.cls + b.reg))
+        assert worst <= 1e-3
 
 
 def _foldable_blocks(tree) -> list:
@@ -109,8 +118,8 @@ def test_named_arrays_are_the_built_arrays_in_build_order(config, fused):
 
 @pytest.mark.parametrize("hw", [(128, 128), (256, 384)], ids=["128x128", "256x384"])
 @pytest.mark.parametrize("fused", [False, True], ids=["unfused", "fused"])
-@pytest.mark.parametrize("config", [tiny_config(), tiny_config(16, 2)],
-                         ids=["tiny", "tiny-16x2"])
+@pytest.mark.parametrize("config", [tiny_config(), tiny_config(16, 2), NARROW_FULL_TOPOLOGY],
+                         ids=["tiny", "tiny-16x2", "narrow-full-topology"])
 def test_count_model_macs_equals_the_macs_forward_runs(config, fused, hw, monkeypatch):
     m = build_model(config, seed=0)
     m = fuse_model(m) if fused else m

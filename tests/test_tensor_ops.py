@@ -101,11 +101,12 @@ class TestConv2d:
         (1, 2, 3, (6, 1), (3, 3), (1, 1), (1, 1), 4),
         (1, 2, 2, (4, 5), (3, 3), (1, 2), (2, 2), 1),
         (2, 3, 2, (5, 4), (3, 3), (1, 1), (1, 1), 2),
+        (1, 2, 3, (3, 4), (1, 1), (1, 1), (2, 2), 1),
     ], ids=["1x1-n2", "1x1-stride2", "3x3-stride2-pad1", "head-out1", "head-out4",
             "acb-1x3", "acb-3x1", "3x3-one-row-blocks", "3x3-blocks-not-dividing-h",
             "stem-3x3-stride2-blocks", "acb-1x3-blocks", "acb-3x1-blocks",
             "1xW-whole-taps-in-padding", "Hx1-whole-taps-in-padding",
-            "pad2-one-row-blocks", "n2-blocks"])
+            "pad2-one-row-blocks", "n2-blocks", "1x1-pad2-blocks-wholly-in-padding"])
     def test_matches_direct_reference_at_named_shapes(self, n, ci, co, hw, kernel,
                                                       stride, padding, rows,
                                                       monkeypatch):
