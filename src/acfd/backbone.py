@@ -72,10 +72,12 @@ class AosaSpec:
 
 
 def aosa_forward(x: np.ndarray, spec: AosaSpec) -> np.ndarray:
-    """Each layer writes into its slice of one concat buffer that starts with x."""
+    """Each layer writes into its slice of one concat buffer that starts with x;
+    the block reads x from there on, so an x the caller drops dies once copied."""
     widths = [block_conv(block).out_c for block in spec.acbs]
     cat = concat_channels(x, sum(widths))
-    cur, c0 = x, x.shape[1]
+    c0 = x.shape[1]
+    x = cur = cat[:, :c0]  # the copy of x: the first layer reads it, the residual adds it
     for block, c in zip(spec.acbs, widths):
         cur = relu(block_forward(cur, block, out=cat[:, c0:c0 + c]))
         c0 += c
@@ -93,19 +95,21 @@ class BackboneSpec:
 
 
 def backbone_forward(image: np.ndarray, spec: BackboneSpec) -> list[np.ndarray]:
-    """Run stem and stages; returns the six stage outputs, stride 4 to 128."""
+    """Run stem and stages; returns the six stage outputs, stride 4 to 128.
+    Each activation dies at its last use: an image the caller drops after stem0."""
     check_tensor4(image, "image")
     check_grid(image.shape[2:])
-    x = image
+    held = [image]  # the running activation, popped into the call that reads it
+    del image
     for block in spec.stem:
-        x = relu(block_forward(x, block))
+        held.append(relu(block_forward(held.pop(), block)))
     pyramid = []
     for idx, stage in enumerate(spec.stages):
         if idx > 0:
-            x = max_pool2d(x, POOL_KERNEL, POOL_STRIDE, POOL_PAD)
+            held.append(max_pool2d(held.pop(), POOL_KERNEL, POOL_STRIDE, POOL_PAD))
         for block in stage:
-            x = aosa_forward(x, block)
-        pyramid.append(x)
+            held.append(aosa_forward(held.pop(), block))
+        pyramid.append(held[0])
     return pyramid
 
 

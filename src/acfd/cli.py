@@ -251,9 +251,12 @@ def _detect_scales(pixels: np.ndarray, mean: float, m: model.DetectorModel,
     Several scales run at once, one per usable CPU, each on a one-thread
     OpenBLAS: a second BLAS thread spins between GEMMs, so one scale at a
     time on two threads was slower for the tiny and the full model alike.
-    Scales that run at once each hold their own activations and column
+    Scales that run at once each hold their own live activations and column
     block, which raises peak memory; the frame they share stays uint8, and
     each worker normalizes one channel plane at a time while it resizes.
+    The padded grid goes to the forward as a temporary, so it is freed after
+    the first stem block, like every block input once it is copied and the
+    backbone outputs once the neck has projected them (CPython 3.11+).
     One scale, one CPU or an OpenBLAS without the thread-count hook runs
     serially on the BLAS thread count as found.
     """

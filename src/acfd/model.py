@@ -89,8 +89,11 @@ def build_model(config: ModelConfig, seed: int = 0) -> DetectorModel:
 
 
 def forward(model: DetectorModel, image: np.ndarray) -> HeadOutput:
-    pyramid = backbone_forward(image, model.backbone)
-    features = abifpn_forward(pyramid, model.neck)
+    """Head output of one padded grid; an input passed as a temporary dies after
+    stem0, and the backbone outputs once the neck has projected them."""
+    held = [image]
+    del image  # so that the backbone, given held.pop(), holds the only reference
+    features = abifpn_forward(backbone_forward(held.pop(), model.backbone), model.neck)
     return head_forward(features, model.head)
 
 

@@ -89,6 +89,7 @@ def abifpn_forward(pyramid: list[np.ndarray], spec: BifpnSpec) -> list[np.ndarra
     if len(pyramid) != len(spec.laterals):
         raise ShapeError(f"expected {len(spec.laterals)} levels, got {len(pyramid)}")
     levels = [block_forward(p, lat) for lat, p in zip(spec.laterals, pyramid)]
+    del pyramid  # a pyramid passed as a temporary is freed here
     for layer in spec.layers:
         levels = bifpn_layer_forward(levels, layer)
     return levels

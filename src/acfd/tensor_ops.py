@@ -105,7 +105,8 @@ class BNSpec:
         return a, b
 
 
-# Bytes of im2col columns conv2d builds per GEMM: whole output rows, at least one.
+# Bytes of im2col columns, with the padded input rows they are copied from, that
+# conv2d holds per GEMM: whole output rows, at least one.
 # Each concurrently running scale holds one block, and 2 MiB fits it in the 2 MiB
 # L2 of the core its worker runs on.
 COLS_BLOCK_BYTES = 2 << 20
@@ -159,15 +160,15 @@ def _check_conv_dims(x: np.ndarray, spec: ConvSpec) -> tuple[int, int]:
 def conv2d(x: np.ndarray, spec: ConvSpec, out: np.ndarray | None = None) -> np.ndarray:
     """2-D cross-correlation with zero padding (im2col + GEMM path).
 
-    Columns are channel-major and built one block of output rows at a time,
-    at most COLS_BLOCK_BYTES per block unless one row is larger, in which
-    case a block is that one row. Each block's input rows are copied into
-    the middle columns of a zero-padded row strip, the strip rows that fall
-    in the top or bottom padding are zeroed, and one strided view of the
-    strip fills the block's columns. kernel @ cols writes each block straight
-    into its rows of the (n, out_c, oh, ow) output: a new array, or ``out``
-    when given, such as a channel slice of a wider NCHW buffer, which is
-    returned.
+    Columns are channel-major and built one block of output rows at a time;
+    a block's columns and its row strip take at most COLS_BLOCK_BYTES unless
+    one row needs more, in which case a block is that one row. Each block's
+    input rows are copied into the middle columns of a zero-padded row
+    strip, the strip rows that fall in the top or bottom padding are zeroed,
+    and one strided view of the strip fills the block's columns. kernel @
+    cols writes each block straight into its rows of the (n, out_c, oh, ow)
+    output: a new array, or ``out`` when given, such as a channel slice of a
+    wider NCHW buffer, which is returned.
     """
     oh, ow = _check_conv_dims(x, spec)
     n, c, h, w = x.shape
@@ -188,10 +189,12 @@ def conv2d(x: np.ndarray, spec: ConvSpec, out: np.ndarray | None = None) -> np.n
         for b in range(n):
             np.matmul(weight, x[b].reshape(c, h * w), out=out_rows[:, b])
     else:
-        rows = max(1, min(oh, COLS_BLOCK_BYTES // (c * kh * kw * ow * x.itemsize)))
+        wp = w + 2 * pw  # the budget holds r rows of columns and (r - 1)*sh + kh strip rows
+        rows = max(1, min(oh, (COLS_BLOCK_BYTES // (c * x.itemsize) - (kh - sh) * wp)
+                          // (kh * kw * ow + sh * wp)))
         cols = np.empty((c, kh, kw, rows, ow), dtype=x.dtype)
         # zeroed once: its pad columns are never written
-        strip = np.zeros((c, (rows - 1) * sh + kh, w + 2 * pw), dtype=x.dtype)
+        strip = np.zeros((c, (rows - 1) * sh + kh, wp), dtype=x.dtype)
         s_c, s_y, s_x = strip.strides
         for b in range(n):
             for r0 in range(0, oh, rows):
@@ -280,25 +283,24 @@ def _pool_dims(x: np.ndarray, kernel, stride, padding) -> tuple[int, int]:
 
 def max_pool2d(x: np.ndarray, kernel: tuple[int, int], stride: tuple[int, int],
                padding: tuple[int, int] = (0, 0)) -> np.ndarray:
-    """Windowed maximum; padding cells are -inf so they never win.
+    """Windowed maximum; padding cells never win.
 
-    Separable: the maximum over the kh strided row slices, then over the kw
-    strided column slices of that. Max is exact and np.maximum propagates
-    NaN, so this equals the per-window maximum.
+    Separable: rows, then columns, each into a buffer filled with the padding
+    value, where each tap takes the maximum over only the outputs that read
+    it inside the input, so no padded copy is made. Max is exact and
+    np.maximum propagates NaN, so this equals the per-window maximum.
     """
     oh, ow = _pool_dims(x, kernel, stride, padding)
-    kh, kw = kernel
-    sh, sw = stride
-    ph, pw = padding
-    if ph or pw:
-        x = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)),
-                   constant_values=_pool_fill(x.dtype))
-    rows = x[:, :, :sh * oh:sh].copy()
-    for i in range(1, kh):
-        np.maximum(rows, x[:, :, i:i + sh * oh:sh], out=rows)
-    out = rows[:, :, :, :sw * ow:sw].copy()
-    for j in range(1, kw):
-        np.maximum(out, rows[:, :, :, j:j + sw * ow:sw], out=out)
+    out = x
+    for axis, k, s, p, o in zip((2, 3), kernel, stride, padding, (oh, ow)):
+        src = np.moveaxis(out, axis, 0)
+        out = np.full((*out.shape[:axis], o, *out.shape[axis + 1:]), _pool_fill(x.dtype),
+                      dtype=x.dtype)
+        dst = np.moveaxis(out, axis, 0)
+        for t in range(k):  # outputs lo:hi read input lo*s - p + t onwards, s apart
+            lo, hi = max(0, (p - t + s - 1) // s), min(o, (len(src) - 1 + p - t) // s + 1)
+            if lo < hi:
+                np.maximum(dst[lo:hi], src[lo * s - p + t::s][:hi - lo], out=dst[lo:hi])
     return out
 
 
@@ -347,14 +349,19 @@ def linear(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
 
 
 def resize_nearest(x: np.ndarray, target: tuple[int, int]) -> np.ndarray:
-    """Nearest-neighbor resize; source index = floor(dst * src / dst_dim)."""
+    """Nearest-neighbor resize; source index = floor(dst * src / dst_dim). An
+    integer-factor upsample, such as the neck's 2x, is one broadcast copy per
+    column offset instead of a gather."""
     check_tensor4(x)
     th, tw = target
     if th < 1 or tw < 1:
         raise ShapeError(f"target dims must be >= 1, got {target}")
-    h, w = x.shape[2], x.shape[3]
-    if (th, tw) == (h, w):
-        return x.copy()
+    n, c, h, w = x.shape
+    if th % h == 0 and tw % w == 0:
+        out = np.empty((n, c, h, th // h, w, tw // w), dtype=x.dtype)
+        for j in range(tw // w):
+            out[..., j] = x[:, :, :, None]  # broadcast over the row offsets
+        return out.reshape(n, c, th, tw)
     rows = (np.arange(th) * h) // th
     cols = (np.arange(tw) * w) // tw
     return np.ascontiguousarray(x[:, :, rows][:, :, :, cols])

@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 
 import numpy as np
@@ -174,6 +175,28 @@ class TestBackboneForward:
         spec = build_backbone(tiny_backbone_config(8), random_params(rng))
         with pytest.raises(ShapeError):
             backbone_forward(np.zeros((1, 3, 130, 128), dtype=np.float32), spec)
+
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason="CPython before 3.11 keeps "
+                        "a temporary argument on the caller's stack until the call returns")
+    def test_full_width_stage1_peak_is_its_concat_buffer_and_projection(self):
+        # stage 1 of full_config at 512x512: five 128-wide layers after the
+        # 128-wide stem output fill a 768-channel concat buffer at 128x128,
+        # projected to 256 channels; the stem output (8 MiB) is freed once the
+        # buffer holds its copy, and the input once stem0 has read it
+        rng = np.random.default_rng(11)
+        config = BackboneConfig(stages=(BackboneConfig().stages[0],
+                                        *tiny_backbone_config(8).stages[1:]))
+        spec = build_backbone(config, random_params(rng), fused=True)
+        unit = 128 * 128 * 4  # one channel at stride 4
+        tracemalloc.start()
+        try:
+            pyramid = backbone_forward(
+                rng.standard_normal((1, 3, 512, 512), dtype=np.float32), spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pyramid[0].shape == (1, 256, 128, 128)
+        assert peak < (768 + 256) * unit + 2**20
 
     def test_full_config_channel_plan(self):
         cfg = BackboneConfig()

@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from acfd.backbone import BackboneConfig, StageConfig, random_params
 from acfd.fusion import map_blocks
 from acfd.model import (ModelConfig, _build, build_model, count_model_macs, forward,
                         full_config, fuse_model, named_arrays, tiny_config)
-from acfd.tensor_ops import ShapeError, conv2d, linear
+from acfd.tensor_ops import COLS_BLOCK_BYTES, ShapeError, conv2d, linear
 
 
 # full_config's topology at desk width: two stages of two blocks, and stages whose
@@ -38,6 +39,35 @@ def test_forward_640_covers_all_34125_anchors(tiny_model):
     out = forward(tiny_model, img)
     assert out.flat_cls().shape == (1, 34125)
     assert out.flat_reg().shape == (1, 34125, 4)
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="CPython before 3.11 keeps a "
+                    "temporary argument on the caller's stack until the call returns")
+def test_forward_frees_a_temporary_input_after_the_first_stem_block(tiny_model):
+    # the peak is at stem0: input, its output and one column block; holding the
+    # input any longer adds it to stem1's peak of two stem maps and a block
+    hw = (512, 768)
+    stem0 = 8 * (hw[0] // 2) * (hw[1] // 2) * 4
+    image = 3 * hw[0] * hw[1] * 4
+    rng = np.random.default_rng(4)
+    tracemalloc.start()
+    try:
+        out = forward(tiny_model, rng.standard_normal((1, 3, *hw), dtype=np.float32))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.flat_cls().shape == (1, anchor_count(hw))
+    assert peak < image + stem0 + COLS_BLOCK_BYTES + 2**20
+
+
+def test_forward_leaves_an_input_its_caller_holds_unchanged(tiny_model):
+    img = np.random.default_rng(6).uniform(-1, 1, (1, 3, 256, 384)).astype(np.float32)
+    before = img.copy()
+    kept = forward(tiny_model, img)
+    assert np.array_equal(img, before)
+    handed_over = forward(tiny_model, img.copy())
+    for a, b in zip(kept.cls + kept.reg, handed_over.cls + handed_over.reg):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_fusion_drift_within_budget(tiny_model):

@@ -17,11 +17,13 @@ from acfd.tensor_ops import (BNSpec, ConvSpec, ShapeError, batch_norm_infer,
 
 def set_block_rows(monkeypatch, rows, x, spec):
     """Make conv2d build its columns `rows` output rows at a time; None keeps
-    the shipped COLS_BLOCK_BYTES."""
+    the shipped COLS_BLOCK_BYTES. The budget is that of `rows` rows of
+    columns and their row strip of (rows - 1)*sh + kh padded input rows."""
     if rows is not None:
         ow = conv_output_shape(x.shape[3], spec.kw, spec.stride[1], spec.padding[1])
-        monkeypatch.setattr(tensor_ops, "COLS_BLOCK_BYTES",
-                            rows * x.shape[1] * spec.kh * spec.kw * ow * x.itemsize)
+        wp = x.shape[3] + 2 * spec.padding[1]
+        values = rows * spec.kh * spec.kw * ow + ((rows - 1) * spec.stride[0] + spec.kh) * wp
+        monkeypatch.setattr(tensor_ops, "COLS_BLOCK_BYTES", values * x.shape[1] * x.itemsize)
 
 
 def make_conv(weight, bias=None, stride=(1, 1), padding=(0, 0)):
@@ -164,6 +166,25 @@ class TestConv2d:
             tracemalloc.stop()
         assert out.shape == (1, 64, 256, 256)
         assert peak < out.nbytes + tensor_ops.COLS_BLOCK_BYTES + 8 * 2**20
+
+    @pytest.mark.parametrize("kernel, padding", [
+        pytest.param((1, 3), (0, 1), id="1x3"),
+        pytest.param((3, 1), (1, 0), id="3x1"),
+        pytest.param((3, 3), (1, 1), id="3x3"),
+    ])
+    def test_strided_conv_columns_and_strip_share_the_block_budget(self, kernel, padding):
+        # the stride-2 stem convs of the unfused model at the largest default
+        # scale; a strip sized by the columns alone held 2.85-4.7 MiB here
+        rng = np.random.default_rng(16)
+        x = rng.standard_normal((1, 3, 800, 1088), dtype=np.float32)
+        spec = make_conv(rng.normal(size=(8, 3, *kernel)), stride=(2, 2), padding=padding)
+        tracemalloc.start()
+        try:
+            out = conv2d(x, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - out.nbytes <= tensor_ops.COLS_BLOCK_BYTES + 2**16
 
     @pytest.mark.parametrize("bias", [False, True], ids=["no-bias", "bias"])
     @pytest.mark.parametrize("kernel, stride, padding, rows", [
@@ -338,6 +359,19 @@ class TestPooling:
         assert np.isnan(got[0, 0, 1:3, 1]).all()
         assert np.isnan(got).sum() == 2
 
+    def test_max_pool_makes_no_padded_copy(self):
+        # the output, the (oh, w) row maxima and ufunc buffers; a padded copy
+        # of the input would add another 4.3 MB
+        x = np.random.default_rng(18).standard_normal((1, 64, 128, 128), dtype=np.float32)
+        tracemalloc.start()
+        try:
+            out = max_pool2d(x, (3, 3), (2, 2), (1, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (1, 64, 64, 64)
+        assert peak <= 3 * out.nbytes + 2**17
+
     def test_global_avg_pool(self):
         x = np.array([[[[1.0, 2.0], [3.0, 4.0]]]], dtype=np.float32)
         assert global_avg_pool(x)[0, 0, 0, 0] == 2.5
@@ -379,6 +413,24 @@ class TestResizeNearest:
         rng = np.random.default_rng(5)
         x = rng.normal(size=(1, 2, 3, 5)).astype(np.float32)
         np.testing.assert_array_equal(resize_nearest(x, (3, 5)), x)
+
+    @pytest.mark.parametrize("target", [
+        pytest.param((8, 12), id="2x"),
+        pytest.param((12, 6), id="3x-by-1x"),
+        pytest.param((4, 6), id="same-size"),
+        pytest.param((6, 9), id="1.5x"),
+        pytest.param((7, 12), id="non-integer-by-2x"),
+        pytest.param((2, 4), id="down"),
+    ])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int32])
+    def test_bit_identical_to_the_gather(self, target, dtype):
+        x = (np.random.default_rng(19).normal(size=(2, 3, 4, 6)) * 100).astype(dtype)
+        th, tw = target
+        gathered = x[:, :, (np.arange(th) * 4) // th][:, :, :, (np.arange(tw) * 6) // tw]
+        got = resize_nearest(x, target)
+        assert got.dtype == x.dtype and got.flags.c_contiguous
+        assert not np.may_share_memory(got, x)
+        assert got.tobytes() == np.ascontiguousarray(gathered).tobytes()
 
     def test_downsample_constant(self):
         x = np.full((1, 1, 4, 4), 7.0, dtype=np.float32)
