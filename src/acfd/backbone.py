@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fusion import AcbSpec, Block, ConvBn, acb_forward, block_conv
+from .fusion import Block, Branches, ConvBn, acb_forward, block_conv
 from .tensor_ops import (BNSpec, ConvSpec, ShapeError, check_tensor4,
                          concat_channels, conv2d, global_avg_pool, linear,
                          max_pool2d, relu, sigmoid)
@@ -33,10 +33,8 @@ def check_grid(hw: tuple[int, int]) -> None:
 
 
 def block_forward(x: np.ndarray, block: Block, out: np.ndarray | None = None) -> np.ndarray:
-    if isinstance(block, AcbSpec):
+    if isinstance(block, Branches):
         return acb_forward(x, block, out)
-    if isinstance(block, ConvBn):
-        return block.forward(x, out)
     return conv2d(x, block, out=out)
 
 
@@ -201,9 +199,9 @@ def named_bn(param: Param, name: str, channels: int) -> BNSpec:
 
 def named_conv_bn(param: Param, name: str, out_c: int, in_c: int, k: int,
                   stride=(1, 1), padding=(0, 0), fused: bool = False) -> Block:
-    """A conv+BN pair, or once fused its biased conv."""
+    """A one-branch conv+BN block, or once fused its biased conv."""
     conv = named_conv(param, f"{name}.conv", out_c, in_c, k, k, stride, padding, bias=fused)
-    return conv if fused else ConvBn(conv=conv, bn=named_bn(param, f"{name}.bn", out_c))
+    return conv if fused else Branches([ConvBn(conv, named_bn(param, f"{name}.bn", out_c))])
 
 
 def named_acb(param: Param, name: str, in_c: int, out_c: int, stride=(1, 1),
@@ -216,9 +214,8 @@ def named_acb(param: Param, name: str, in_c: int, out_c: int, stride=(1, 1),
         conv = named_conv(param, f"{name}.{kind}", out_c, in_c, kh, kw, stride, padding,
                           draw=_damped_draw)
         return ConvBn(conv=conv, bn=named_bn(param, f"{name}.{kind}.bn", out_c))
-    return AcbSpec(square=branch("square", 3, 3, (1, 1)),
-                   horizontal=branch("horizontal", 1, 3, (0, 1)),
-                   vertical=branch("vertical", 3, 1, (1, 0)))
+    return Branches([branch("square", 3, 3, (1, 1)), branch("horizontal", 1, 3, (0, 1)),
+                     branch("vertical", 3, 1, (1, 0))])
 
 
 def kaiming_conv(rng: np.random.Generator, out_c: int, in_c: int, kh: int, kw: int,
@@ -233,7 +230,7 @@ def random_bn(rng: np.random.Generator, channels: int, dtype=np.float32) -> BNSp
 
 
 def random_acb(rng: np.random.Generator, in_c: int, out_c: int,
-               stride=(1, 1), dtype=np.float32) -> AcbSpec:
+               stride=(1, 1), dtype=np.float32) -> Branches:
     return named_acb(random_params(rng, dtype), "acb", in_c, out_c, stride)
 
 

@@ -384,9 +384,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("match", help="anchor-match statistics over an annotation set")
     p.add_argument("annotations")
     p.add_argument("predictions")
-    p.add_argument("--t1", type=_comma_list(float), default="0.35",
+    p.add_argument("--t1", type=_comma_list(_unit_float), default="0.35",
                    help="comma list sweeps a grid")
-    p.add_argument("--t2", type=_comma_list(float), default="0.7",
+    p.add_argument("--t2", type=_comma_list(_unit_float), default="0.7",
                    help="comma list sweeps a grid")
     p.add_argument("--image-size", type=_grid_size, default="640x640")
     p.set_defaults(func=cmd_match)

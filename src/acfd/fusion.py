@@ -1,11 +1,12 @@
-"""Asymmetric convolution blocks and their inference-time collapse.
+"""Foldable blocks and their inference-time collapse.
 
-An ACB runs a 3x3, a 1x3 and a 3x1 convolution in parallel, each followed by
-its own batch norm, and sums the three maps. Because convolution and
-inference-form batch norm are both linear, each branch folds into a plain
-biased convolution (W' = W*a, B' = (B - mu)*a + beta with a = gamma/sqrt(var
-+ eps)), the rectangular kernels zero-embed into the middle row/column of a
-3x3 kernel, and the three branches add into one convolution.
+A foldable block is a sum of conv+BN branches: an asymmetric convolution
+block (ACB) runs a 3x3, a 1x3 and a 3x1 branch in parallel, and a conv+BN
+pair is a block of one branch. Because convolution and inference-form batch
+norm are both linear, each branch folds into a plain biased convolution
+(W' = W*a, B' = (B - mu)*a + beta with a = gamma/sqrt(var + eps)), each
+kernel zero-embeds into the middle of the first branch's kernel, and the
+branches add into one convolution.
 """
 from __future__ import annotations
 
@@ -19,101 +20,84 @@ from .tensor_ops import (BNSpec, ConvSpec, ShapeError, batch_norm_infer, conv2d,
 
 @dataclass
 class ConvBn:
-    """A convolution followed by its batch norm; folds into one biased conv."""
+    """One branch: a convolution followed by its batch norm."""
 
     conv: ConvSpec
     bn: BNSpec
 
-    def forward(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        return batch_norm_infer(conv2d(x, self.conv, out=out), self.bn)
-
 
 @dataclass
-class AcbSpec:
-    """Train-time three-branch block; branches share in/out channels and stride.
+class Branches:
+    """Train-time block: the sum of its branches' normalized outputs.
 
-    Paddings are fixed at (1,1) / (0,1) / (1,0) so all branch outputs have
-    identical spatial dims for the elementwise sum.
+    Every branch shares the first branch's in/out channels and stride. Its
+    kernel is no larger than the first's and smaller by an even number of
+    cells on each axis, with padding smaller by half that, so it sits in the
+    middle of the first kernel and all branch outputs have the same dims.
     """
 
-    square: ConvBn
-    horizontal: ConvBn
-    vertical: ConvBn
+    branches: list[ConvBn]
 
     def __post_init__(self):
-        sq, hz, vt = self.square.conv, self.horizontal.conv, self.vertical.conv
-        if (sq.kh, sq.kw) != (3, 3) or (hz.kh, hz.kw) != (1, 3) or (vt.kh, vt.kw) != (3, 1):
-            raise ShapeError(
-                f"branch kernels must be 3x3/1x3/3x1, got "
-                f"{(sq.kh, sq.kw)}/{(hz.kh, hz.kw)}/{(vt.kh, vt.kw)}")
-        if sq.padding != (1, 1) or hz.padding != (0, 1) or vt.padding != (1, 0):
-            raise ShapeError("branch paddings must be (1,1)/(0,1)/(1,0)")
-        for b in (hz, vt):
-            if (b.in_c, b.out_c) != (sq.in_c, sq.out_c) or b.stride != sq.stride:
+        first = self.branches[0].conv
+        (out_c, in_c, kh0, kw0), (ph0, pw0) = first.weight.shape, first.padding
+        for branch in self.branches:
+            conv = branch.conv
+            (o, i, kh, kw), (ph, pw) = conv.weight.shape, conv.padding
+            if branch.bn.channels != o:
+                raise ShapeError(f"bn channels {branch.bn.channels} != conv out_c {o}")
+            if (o, i, conv.stride) != (out_c, in_c, first.stride):
                 raise ShapeError("branches must share in/out channels and stride")
+            if kh > kh0 or kw > kw0 or (kh0 - kh, kw0 - kw) != (2 * (ph0 - ph), 2 * (pw0 - pw)):
+                raise ShapeError(f"branch kernel {(kh, kw)} padded {conv.padding} is not "
+                                 f"centred in {(kh0, kw0)} padded {first.padding}")
 
-    @property
-    def stride(self) -> tuple[int, int]:
-        return self.square.conv.stride
+
+# A network block: a train-time sum of branches, or the plain conv it folds into
+Block = Branches | ConvSpec
 
 
-def acb_forward(x: np.ndarray, spec: AcbSpec, out: np.ndarray | None = None) -> np.ndarray:
-    """Sum of the three normalized branch outputs (the fusion oracle), into out."""
-    out = spec.square.forward(x, out)
-    out += spec.horizontal.forward(x)
-    out += spec.vertical.forward(x)
+def acb_forward(x: np.ndarray, block: Branches, out: np.ndarray | None = None) -> np.ndarray:
+    """Sum of the normalized branch outputs (the fusion oracle), into out."""
+    first, *rest = block.branches
+    out = batch_norm_infer(conv2d(x, first.conv, out=out), first.bn)
+    for branch in rest:
+        out += batch_norm_infer(conv2d(x, branch.conv), branch.bn)
     return out
 
 
-def fuse_conv_bn(conv: ConvSpec, bn: BNSpec) -> ConvSpec:
-    """Fold batch norm into the preceding convolution.
-
-    Per output channel: W' = W * a and B' = (B - mu) * a + beta with
-    a = gamma / sqrt(var + eps), so conv'(x) == bn(conv(x)).
-    """
-    if bn.channels != conv.out_c:
-        raise ShapeError(f"bn channels {bn.channels} != conv out_c {conv.out_c}")
-    a, b = bn.scale_shift()  # b = beta - mu*a; raises on non-positive var+eps
+def _fold(branch: ConvBn) -> tuple[np.ndarray, np.ndarray]:
+    """The branch's weight and bias with its batch norm folded in, in float64:
+    per output channel W' = W * a and B' = (B - mu) * a + beta."""
+    conv = branch.conv
+    a, b = branch.bn.scale_shift()  # b = beta - mu*a; raises on non-positive var+eps
     dtype = conv.weight.dtype
     weight = (conv.weight.astype(np.float64) * a.reshape(-1, 1, 1, 1)).astype(dtype)
     bias = np.zeros(conv.out_c, dtype=np.float64) if conv.bias is None \
         else conv.bias.astype(np.float64)
-    bias = (bias * a + b).astype(dtype)
-    return ConvSpec(weight=weight, bias=bias, stride=conv.stride, padding=conv.padding)
+    return weight, (bias * a + b).astype(dtype)
 
 
-def fuse_acb(spec: AcbSpec) -> ConvSpec:
-    """Merge the three branches into one plain 3x3 convolution.
+def fuse_block(block: Branches) -> ConvSpec:
+    """The inference form of a block: one biased convolution.
 
-    Each branch is first folded with its batch norm; the 1x3 kernel is
-    zero-embedded into the middle row of a 3x3 kernel and the 3x1 into the
-    middle column; kernels and biases then sum.
+    Each branch is folded with its batch norm and zero-embedded in the middle
+    of the first branch's kernel; kernels and biases sum in branch order.
     """
-    sq, hz, vt = (fuse_conv_bn(b.conv, b.bn)
-                  for b in (spec.square, spec.horizontal, spec.vertical))
-    weight = sq.weight
-    weight[:, :, 1:2, :] += hz.weight
-    weight[:, :, :, 1:2] += vt.weight
-    bias = sq.bias + hz.bias + vt.bias
-    return ConvSpec(weight=weight, bias=bias, stride=spec.stride, padding=(1, 1))
-
-
-# A network block: a train-time ACB or conv+BN pair, or the plain conv either
-# folds into
-Block = AcbSpec | ConvBn | ConvSpec
-
-
-def fuse_block(block: AcbSpec | ConvBn) -> ConvSpec:
-    """The inference form of one foldable block: one biased convolution."""
-    if isinstance(block, AcbSpec):
-        return fuse_acb(block)
-    return fuse_conv_bn(block.conv, block.bn)
+    first = block.branches[0].conv
+    weight, bias = _fold(block.branches[0])
+    for branch in block.branches[1:]:
+        w, b = _fold(branch)
+        top, left = (first.kh - w.shape[2]) // 2, (first.kw - w.shape[3]) // 2
+        weight[:, :, top:top + w.shape[2], left:left + w.shape[3]] += w
+        bias += b
+    return ConvSpec(weight=weight, bias=bias, stride=first.stride, padding=first.padding)
 
 
 def map_blocks(tree, leaf):
-    """Rebuild a model or any sub-tree of one with every ``AcbSpec`` and
-    ``ConvBn`` replaced by ``leaf(block)``; arrays and numbers carry over."""
-    if isinstance(tree, (AcbSpec, ConvBn)):
+    """Rebuild a model or any sub-tree of one with every ``Branches`` block
+    replaced by ``leaf(block)``; arrays and numbers carry over."""
+    if isinstance(tree, Branches):
         return leaf(tree)
     if isinstance(tree, list):
         return [map_blocks(node, leaf) for node in tree]
@@ -124,18 +108,14 @@ def map_blocks(tree, leaf):
 
 
 def block_conv(block: Block) -> ConvSpec:
-    """The convolution that sets a block's output shape (an ACB's 3x3 branch)."""
-    if isinstance(block, AcbSpec):
-        return block.square.conv
-    return block.conv if isinstance(block, ConvBn) else block
+    """The convolution that sets a block's output shape (its first branch)."""
+    return block.branches[0].conv if isinstance(block, Branches) else block
 
 
 def block_macs(block: Block, in_hw: tuple[int, int]) -> int:
     """Multiply-accumulate count of one block at the given input size."""
-    if isinstance(block, AcbSpec):
-        return sum(block_macs(b, in_hw)
-                   for b in (block.square, block.horizontal, block.vertical))
-    spec = block_conv(block)
-    oh = conv_output_shape(in_hw[0], spec.kh, spec.stride[0], spec.padding[0])
-    ow = conv_output_shape(in_hw[1], spec.kw, spec.stride[1], spec.padding[1])
-    return spec.out_c * spec.in_c * spec.kh * spec.kw * oh * ow
+    if isinstance(block, Branches):
+        return sum(block_macs(branch.conv, in_hw) for branch in block.branches)
+    oh = conv_output_shape(in_hw[0], block.kh, block.stride[0], block.padding[0])
+    ow = conv_output_shape(in_hw[1], block.kw, block.stride[1], block.padding[1])
+    return block.out_c * block.in_c * block.kh * block.kw * oh * ow

@@ -101,7 +101,7 @@ def forward(model: DetectorModel, image: np.ndarray) -> HeadOutput:
 # whole-model fusion
 
 def fuse_model(model: DetectorModel) -> DetectorModel:
-    """Collapse every ACB into a single conv and fold every conv+BN pair."""
+    """Fold every block of conv+BN branches into its one plain conv."""
     if model.fused:
         raise ValueError("model is already fused")
     return replace(map_blocks(model, fuse_block), fused=True)

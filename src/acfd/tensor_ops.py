@@ -349,22 +349,17 @@ def linear(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
 
 
 def resize_nearest(x: np.ndarray, target: tuple[int, int]) -> np.ndarray:
-    """Nearest-neighbor resize; source index = floor(dst * src / dst_dim). An
-    integer-factor upsample, such as the neck's 2x, is one broadcast copy per
-    column offset instead of a gather."""
+    """Nearest-neighbor upsample by whole factors, such as the neck's 2x: one
+    broadcast copy per column offset."""
     check_tensor4(x)
-    th, tw = target
-    if th < 1 or tw < 1:
-        raise ShapeError(f"target dims must be >= 1, got {target}")
     n, c, h, w = x.shape
-    if th % h == 0 and tw % w == 0:
-        out = np.empty((n, c, h, th // h, w, tw // w), dtype=x.dtype)
-        for j in range(tw // w):
-            out[..., j] = x[:, :, :, None]  # broadcast over the row offsets
-        return out.reshape(n, c, th, tw)
-    rows = (np.arange(th) * h) // th
-    cols = (np.arange(tw) * w) // tw
-    return np.ascontiguousarray(x[:, :, rows][:, :, :, cols])
+    th, tw = target
+    if th < h or tw < w or th % h or tw % w:
+        raise ShapeError(f"target {target} is not a whole multiple of {(h, w)}")
+    out = np.empty((n, c, h, th // h, w, tw // w), dtype=x.dtype)
+    for j in range(tw // w):
+        out[..., j] = x[:, :, :, None]  # broadcast over the row offsets
+    return out.reshape(n, c, th, tw)
 
 
 def concat_channels(head: np.ndarray, channels: int) -> np.ndarray:

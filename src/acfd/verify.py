@@ -13,7 +13,7 @@ import numpy as np
 from . import losses, matching, model, postprocess
 from .anchors import anchor_count, generate_anchors
 from .backbone import random_acb, random_bn, kaiming_conv
-from .fusion import AcbSpec, acb_forward, fuse_acb, fuse_conv_bn
+from .fusion import Branches, ConvBn, acb_forward, fuse_block
 from .tensor_ops import batch_norm_infer, conv2d
 
 
@@ -107,7 +107,7 @@ def check_conv_bn_folding(rng: np.random.Generator, trials: int = 25) -> CheckRe
         conv = kaiming_conv(rng, c_out, c_in, k, k, padding=(k // 2, k // 2))
         bn = random_bn(rng, c_out)
         x = rng.normal(size=(2, c_in, 6, 6)).astype(np.float32)
-        fused = fuse_conv_bn(conv, bn)
+        fused = fuse_block(Branches([ConvBn(conv, bn)]))
         diff = np.abs(conv2d(x, fused) - batch_norm_infer(conv2d(x, conv), bn)).max()
         worst = max(worst, float(diff))
     return CheckResult("conv-bn-folding", worst <= 1e-5, f"max err {worst:.2e}")
@@ -119,7 +119,7 @@ def check_acb_fusion(rng: np.random.Generator, trials: int = 25,
     for t in range(trials):
         c_in, c_out = int(rng.integers(1, 5)), int(rng.integers(1, 5))
         spec = random_acb(rng, c_in, c_out)
-        fused = fuse_acb(spec)
+        fused = fuse_block(spec)
         if inject_fault and t == 0:
             fused.weight[0, 0, 1, 1] += 1e-2
         x = rng.normal(size=(1, c_in, 7, 7)).astype(np.float32)

@@ -13,7 +13,7 @@ import pytest
 from acfd import cli, container, losses, matching, postprocess
 from acfd.anchors import (STRIDES, HeadOutput, anchor_count, encode, generate_anchors)
 from acfd.backbone import backbone_forward, random_acb
-from acfd.fusion import acb_forward, fuse_acb, fuse_conv_bn
+from acfd.fusion import Branches, ConvBn, acb_forward, fuse_block
 from acfd.backbone import kaiming_conv, random_bn
 from acfd.matching import dam_match, iou_matrix
 from acfd.model import (build_model, count_model_macs, forward, full_config,
@@ -57,7 +57,7 @@ def test_03_acb_fusion_equivalence():
         for dtype, atol in ((np.float32, None), (np.float64, None)):
             spec = random_acb(rng, c_in, c_out, dtype=dtype)
             x = rng.normal(size=(1, c_in, 8, 8)).astype(dtype)
-            diff = float(np.abs(acb_forward(x, spec) - conv2d(x, fuse_acb(spec))).max())
+            diff = float(np.abs(acb_forward(x, spec) - conv2d(x, fuse_block(spec))).max())
             if dtype == np.float32:
                 worst32 = max(worst32, diff)
             else:
@@ -75,7 +75,7 @@ def test_04_conv_bn_folding():
         conv = kaiming_conv(rng, c_out, c_in, k, k, padding=(k // 2, k // 2))
         bn = random_bn(rng, c_out)
         x = rng.normal(size=(2, c_in, 7, 7)).astype(np.float32)
-        diff = np.abs(conv2d(x, fuse_conv_bn(conv, bn))
+        diff = np.abs(conv2d(x, fuse_block(Branches([ConvBn(conv, bn)])))
                       - batch_norm_infer(conv2d(x, conv), bn)).max()
         worst = max(worst, float(diff))
     report(4, "conv-bn-folding", worst <= 1e-5, f"max err {worst:.2e}")

@@ -9,7 +9,7 @@ from acfd.backbone import (AosaSpec, BackboneConfig, EseSpec, aosa_forward,
                            backbone_forward, build_backbone, ese_attention,
                            kaiming_conv, random_acb, random_bn, random_params,
                            tiny_backbone_config)
-from acfd.fusion import AcbSpec, ConvBn, fuse_block, map_blocks
+from acfd.fusion import Branches, ConvBn, fuse_block, map_blocks
 from acfd.tensor_ops import BNSpec, ConvSpec, ShapeError, concat_channels, relu
 
 
@@ -24,9 +24,11 @@ def zero_acb(in_c, out_c):
         conv = ConvSpec(weight=np.zeros((out_c, in_c, kh, kw), dtype=np.float32),
                         padding=padding)
         return ConvBn(conv=conv, bn=identity_bn(out_c))
-    return AcbSpec(square=branch(3, 3, (1, 1)),
-                   horizontal=branch(1, 3, (0, 1)),
-                   vertical=branch(3, 1, (1, 0)))
+    return Branches([branch(3, 3, (1, 1)), branch(1, 3, (0, 1)), branch(3, 1, (1, 0))])
+
+
+def conv_bn(conv, bn):
+    return Branches([ConvBn(conv, bn)])
 
 
 def constant_projection(in_c, out_c, value):
@@ -34,7 +36,7 @@ def constant_projection(in_c, out_c, value):
     conv = ConvSpec(weight=np.zeros((out_c, in_c, 1, 1), dtype=np.float32))
     bn = identity_bn(out_c)
     bn.beta = np.full(out_c, value, dtype=np.float32)
-    return ConvBn(conv=conv, bn=bn)
+    return conv_bn(conv, bn)
 
 
 class TestEseAttention:
@@ -94,8 +96,8 @@ class TestAosaForward:
             acbs.append(random_acb(rng, 128, 128))
         spec = AosaSpec(
             acbs=acbs,
-            projection=ConvBn(kaiming_conv(rng, 256, 128 + 5 * 128, 1, 1),
-                              random_bn(rng, 256)),
+            projection=conv_bn(kaiming_conv(rng, 256, 128 + 5 * 128, 1, 1),
+                               random_bn(rng, 256)),
             ese=EseSpec(rng.normal(size=(256, 256)).astype(np.float32) * 0.05,
                         np.zeros(256, np.float32)),
             residual=False)
@@ -105,8 +107,8 @@ class TestAosaForward:
     def test_spatial_dims_preserved(self):
         rng = np.random.default_rng(4)
         spec = AosaSpec(acbs=[random_acb(rng, 4, 6), random_acb(rng, 6, 6)],
-                        projection=ConvBn(kaiming_conv(rng, 8, 4 + 2 * 6, 1, 1),
-                                          random_bn(rng, 8)),
+                        projection=conv_bn(kaiming_conv(rng, 8, 4 + 2 * 6, 1, 1),
+                                           random_bn(rng, 8)),
                         ese=EseSpec(np.zeros((8, 8), np.float32), np.zeros(8, np.float32)),
                         residual=False)
         for h, w in [(6, 6), (7, 9), (12, 5)]:
@@ -116,8 +118,8 @@ class TestAosaForward:
     def test_batch_of_two_matches_each_image(self):
         rng = np.random.default_rng(9)
         spec = AosaSpec(acbs=[random_acb(rng, 4, 6), random_acb(rng, 6, 6)],
-                        projection=ConvBn(kaiming_conv(rng, 4, 4 + 2 * 6, 1, 1),
-                                          random_bn(rng, 4)),
+                        projection=conv_bn(kaiming_conv(rng, 4, 4 + 2 * 6, 1, 1),
+                                           random_bn(rng, 4)),
                         ese=EseSpec(rng.normal(size=(4, 4)).astype(np.float32),
                                     np.zeros(4, np.float32)),
                         residual=True)
@@ -135,8 +137,8 @@ class TestAosaForward:
         c, h, w, layers = 8, 256, 256, 5
         spec = AosaSpec(
             acbs=[fuse_block(random_acb(rng, c, c)) for _ in range(layers)],
-            projection=fuse_block(ConvBn(kaiming_conv(rng, c, (layers + 1) * c, 1, 1),
-                                         random_bn(rng, c))),
+            projection=fuse_block(conv_bn(kaiming_conv(rng, c, (layers + 1) * c, 1, 1),
+                                          random_bn(rng, c))),
             ese=EseSpec(np.zeros((c, c), np.float32), np.zeros(c, np.float32)),
             residual=True)
         x = rng.normal(size=(1, c, h, w)).astype(np.float32)

@@ -176,11 +176,11 @@ class TestMatch:
         assert int(row[3]) == expected.n2
 
     def test_unreachable_t2_gives_zero_compensated(self, tmp_path, capsys):
-        gts = [[20.0, 20.0, 52.0, 52.0]]
+        gts = [[21.0, 20.0, 52.0, 52.0]]  # no anchor equals it, so no IoU reaches 1
         ann, pred = self.write_inputs(
             tmp_path, [{"file": "a.ppm", "boxes": gts}], [])
         assert main(["match", str(ann), str(pred), "--image-size", "128x128",
-                     "--t2", "1.01"]) == 0
+                     "--t2", "1"]) == 0
         row = capsys.readouterr().out.splitlines()[-1].split()
         assert int(row[3]) == 0
 
@@ -188,7 +188,7 @@ class TestMatch:
         ann, pred = self.write_inputs(
             tmp_path, [{"file": "a.ppm", "boxes": [[10.0, 10.0, 40.0, 40.0]]}], [])
         assert main(["match", str(ann), str(pred), "--image-size", "128x128",
-                     "--t1", "0.35,0.5", "--t2", "0.35,0.7,1.01"]) == 0
+                     "--t1", "0.35,0.5", "--t2", "0.35,0.7,1"]) == 0
         lines = [l for l in capsys.readouterr().out.splitlines() if l.strip()]
         assert len(lines) == 1 + 2 * 3  # header + grid
 
@@ -673,6 +673,10 @@ def test_negative_bn_variance_is_one_line_io_error(command, tiny_container, ppm_
     ["detect", "x.ppm", "w.acfd", "--nms-iou", "inf"],
     ["detect", "x.ppm", "w.acfd", "--conf", "high"],
     ["detect", "x.ppm", "w.acfd", "--scales", "128x128", "--single-scale", "128x128"],
+    ["match", "a.json", "p.json", "--t1", "nan,-3"],
+    ["match", "a.json", "p.json", "--t1", "0.35,1.5"],
+    ["match", "a.json", "p.json", "--t2", "1.01"],
+    ["match", "a.json", "p.json", "--t2", "0.7,-inf"],
 ])
 def test_malformed_argument_is_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as exc:

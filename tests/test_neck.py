@@ -3,7 +3,7 @@ import pytest
 
 from acfd.backbone import (build_backbone, backbone_forward, random_params,
                            tiny_backbone_config)
-from acfd.fusion import AcbSpec, ConvBn, fuse_block, map_blocks
+from acfd.fusion import Branches, ConvBn, fuse_block, map_blocks
 from acfd.neck import (BifpnSpec, abifpn_forward, bifpn_layer_forward, build_neck,
                        fuse_node, normalized_fusion_weights)
 from acfd.tensor_ops import BNSpec, ConvSpec, ShapeError
@@ -19,10 +19,10 @@ def identity_acb(channels):
     sq = np.zeros((channels, channels, 3, 3), dtype=np.float32)
     for c in range(channels):
         sq[c, c, 1, 1] = 1.0
-    return AcbSpec(
-        square=branch(3, 3, (1, 1), sq),
-        horizontal=branch(1, 3, (0, 1), np.zeros((channels, channels, 1, 3), np.float32)),
-        vertical=branch(3, 1, (1, 0), np.zeros((channels, channels, 3, 1), np.float32)))
+    return Branches([
+        branch(3, 3, (1, 1), sq),
+        branch(1, 3, (0, 1), np.zeros((channels, channels, 1, 3), np.float32)),
+        branch(3, 1, (1, 0), np.zeros((channels, channels, 3, 1), np.float32))])
 
 
 def tiny_pyramid(rng, width=8, base=32):
@@ -105,7 +105,8 @@ class TestAbifpnForward:
         rng = np.random.default_rng(6)
         neck = build_neck((8,) * 6, width=8, repeats=1, param=random_params(rng))
         for lat in neck.laterals:
-            lat.conv.weight = np.zeros_like(lat.conv.weight)
+            (branch,) = lat.branches
+            branch.conv.weight = np.zeros_like(branch.conv.weight)
         out = abifpn_forward(tiny_pyramid(np.random.default_rng(7)), neck)
         other = abifpn_forward(tiny_pyramid(np.random.default_rng(8)), neck)
         for level, level_other in zip(out, other):
@@ -127,11 +128,12 @@ class TestAbifpnForward:
         for a, b in zip(abifpn_forward(pyramid, neck), abifpn_forward(pyramid, fused)):
             assert np.abs(a - b).max() <= 1e-3
 
-    def test_odd_sized_levels_supported(self):
+    def test_odd_sized_levels_rejected(self):
+        # grids are multiples of 128, so each level is exactly twice the next;
+        # an odd level cannot be reached by a whole-factor upsample
         rng = np.random.default_rng(11)
         neck = build_neck((4,) * 6, width=4, repeats=1, param=random_params(rng))
         dims = [(40, 52), (20, 26), (10, 13), (5, 7), (3, 4), (2, 2)]
         pyramid = [rng.normal(size=(1, 4, h, w)).astype(np.float32) for h, w in dims]
-        out = abifpn_forward(pyramid, neck)
-        for (h, w), level in zip(dims, out):
-            assert level.shape == (1, 4, h, w)
+        with pytest.raises(ShapeError, match="whole multiple"):
+            abifpn_forward(pyramid, neck)

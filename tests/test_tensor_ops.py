@@ -424,18 +424,25 @@ class TestResizeNearest:
     ])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int32])
     def test_bit_identical_to_the_gather(self, target, dtype):
+        # whole-multiple targets match a gather bit for bit; the gather's other
+        # targets (fractional or downsampling) are rejected
         x = (np.random.default_rng(19).normal(size=(2, 3, 4, 6)) * 100).astype(dtype)
         th, tw = target
+        if th % 4 or tw % 6 or th < 4 or tw < 6:
+            with pytest.raises(ShapeError, match="whole multiple"):
+                resize_nearest(x, target)
+            return
         gathered = x[:, :, (np.arange(th) * 4) // th][:, :, :, (np.arange(tw) * 6) // tw]
         got = resize_nearest(x, target)
         assert got.dtype == x.dtype and got.flags.c_contiguous
         assert not np.may_share_memory(got, x)
         assert got.tobytes() == np.ascontiguousarray(gathered).tobytes()
 
-    def test_downsample_constant(self):
+    def test_downsample_rejected(self):
         x = np.full((1, 1, 4, 4), 7.0, dtype=np.float32)
-        out = resize_nearest(x, (2, 2))
-        np.testing.assert_array_equal(out, np.full((1, 1, 2, 2), 7.0))
+        for target in ((2, 2), (0, 4), (4, 0)):
+            with pytest.raises(ShapeError, match="whole multiple"):
+                resize_nearest(x, target)
 
 
 class TestBilinearResize:
@@ -567,5 +574,5 @@ def test_all_ops_preserve_finiteness():
     # relu rectifies in place, so it gets a copy and the other ops see out
     for t in (out, relu(out.copy()), sigmoid(out),
               max_pool2d(out, (3, 3), (2, 2), (1, 1)), global_avg_pool(out),
-              resize_nearest(out, (5, 5))):
+              resize_nearest(out, (18, 27))):
         assert np.all(np.isfinite(t))
