@@ -37,6 +37,9 @@ def fuse_node(inputs: list[np.ndarray], weights, acb: Block) -> np.ndarray:
     mixed = w[0] * inputs[0]
     for wi, t in zip(w[1:], inputs[1:]):
         mixed += wi * t
+    # a map held only by a list passed as a temporary, such as an upsampled or
+    # pooled one, dies here, before the ACB makes the node's output
+    inputs = t = None
     return relu(block_forward(mixed, acb))
 
 
@@ -69,18 +72,18 @@ def bifpn_layer_forward(levels: list[np.ndarray], layer: BifpnLayerSpec) -> list
     n = len(levels)
     td = [None] * n
     td[n - 1] = levels[n - 1]
+    # each upsampled or pooled map is passed as a temporary, so fuse_node frees
+    # it before the node's ACB runs
     for i, node in zip(range(n - 2, -1, -1), layer.td_nodes):
-        up = resize_nearest(td[i + 1], levels[i].shape[2:])
-        td[i] = fuse_node([levels[i], up], node.weights, node.acb)
+        td[i] = fuse_node([levels[i], resize_nearest(td[i + 1], levels[i].shape[2:])],
+                          node.weights, node.acb)
     out = [None] * n
     out[0] = td[0]
     for i, node in zip(range(1, n), layer.bu_nodes):
         # grid sides are multiples of 128, so the pool halves each level exactly
-        down = max_pool2d(out[i - 1], POOL_KERNEL, POOL_STRIDE, POOL_PAD)
-        if i < n - 1:
-            out[i] = fuse_node([levels[i], td[i], down], node.weights, node.acb)
-        else:
-            out[i] = fuse_node([levels[i], down], node.weights, node.acb)
+        own = [levels[i], td[i]] if i < n - 1 else [levels[i]]
+        out[i] = fuse_node([*own, max_pool2d(out[i - 1], POOL_KERNEL, POOL_STRIDE, POOL_PAD)],
+                           node.weights, node.acb)
     return out
 
 
@@ -88,8 +91,11 @@ def abifpn_forward(pyramid: list[np.ndarray], spec: BifpnSpec) -> list[np.ndarra
     """Project each level to the common width, then run the stacked sweeps."""
     if len(pyramid) != len(spec.laterals):
         raise ShapeError(f"expected {len(spec.laterals)} levels, got {len(pyramid)}")
-    levels = [block_forward(p, lat) for lat, p in zip(spec.laterals, pyramid)]
-    del pyramid  # a pyramid passed as a temporary is freed here
+    # coarsest first, from a copy to pop: of a pyramid passed as a temporary,
+    # each wide map dies once projected to the common width, before the finest
+    # and largest projection is made
+    pyramid = list(pyramid)
+    levels = [block_forward(pyramid.pop(), lat) for lat in reversed(spec.laterals)][::-1]
     for layer in spec.layers:
         levels = bifpn_layer_forward(levels, layer)
     return levels

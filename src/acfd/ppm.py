@@ -32,14 +32,22 @@ def _read_token(fh) -> bytes:
         token += ch
 
 
+def _read_number(fh) -> int:
+    # ASCII digits only: int() would also take a sign, underscores or spaces
+    token = _read_token(fh)
+    if not token.isdigit():
+        raise ValueError(f"PPM header field {token!r} is not a decimal number")
+    return int(token)
+
+
 def read_ppm(path) -> np.ndarray:
     """Returns (h, w, 3) uint8."""
     with open(path, "rb") as fh:
         if _read_token(fh) != b"P6":
             raise ValueError(f"{path}: not a binary P6 PPM")
-        w = int(_read_token(fh))
-        h = int(_read_token(fh))
-        maxval = int(_read_token(fh))
+        w = _read_number(fh)
+        h = _read_number(fh)
+        maxval = _read_number(fh)
         if maxval != 255:
             raise ValueError(f"{path}: only maxval 255 supported, got {maxval}")
         if w < 1 or h < 1:

@@ -4,12 +4,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from acfd import tensor_ops
+from acfd import backbone, fusion, tensor_ops
 from acfd.backbone import (AosaSpec, BackboneConfig, EseSpec, aosa_forward,
-                           backbone_forward, build_backbone, ese_attention,
-                           kaiming_conv, random_acb, random_bn, random_params,
-                           tiny_backbone_config)
-from acfd.fusion import Branches, ConvBn, fuse_block, map_blocks
+                           backbone_forward, block_forward, build_backbone,
+                           ese_attention, kaiming_conv, random_acb, random_bn,
+                           random_params, tiny_backbone_config)
+from acfd.fusion import Branches, ConvBn, block_conv, block_macs, fuse_block, map_blocks
 from acfd.tensor_ops import BNSpec, ConvSpec, ShapeError, concat_channels, relu
 
 
@@ -37,6 +37,41 @@ def constant_projection(in_c, out_c, value):
     bn = identity_bn(out_c)
     bn.beta = np.full(out_c, value, dtype=np.float32)
     return conv_bn(conv, bn)
+
+
+def random_aosa(rng, in_c, layer_c, layers, out_c, fused=False):
+    acbs = [random_acb(rng, layer_c if a else in_c, layer_c) for a in range(layers)]
+    projection = conv_bn(kaiming_conv(rng, out_c, in_c + layers * layer_c, 1, 1),
+                         random_bn(rng, out_c))
+    if fused:
+        acbs, projection = [fuse_block(a) for a in acbs], fuse_block(projection)
+    return AosaSpec(acbs=acbs, projection=projection,
+                    ese=EseSpec(rng.normal(size=(out_c, out_c)).astype(np.float32) * 0.1,
+                                np.zeros(out_c, np.float32)),
+                    residual=in_c == out_c)
+
+
+def whole_map_aosa(x, spec):
+    """The block over whole maps: every layer writes into one concat buffer
+    that starts with x, and one projection reads all of it."""
+    widths = [block_conv(block).out_c for block in spec.acbs]
+    cat = concat_channels(x, sum(widths))
+    c0 = x.shape[1]
+    cur = cat[:, :c0]
+    for block, c in zip(spec.acbs, widths):
+        cur = relu(block_forward(cur, block, out=cat[:, c0:c0 + c]))
+        c0 += c
+    out = ese_attention(relu(block_forward(cat, spec.projection)), spec.ese.weight,
+                        spec.ese.bias)
+    if spec.residual:
+        out += x
+    return out
+
+
+def band_budget(rows, x, spec):
+    """The panel budget that gives bands of ``rows`` rows."""
+    n, c0, _, w = x.shape
+    return rows * n * (c0 + sum(block_conv(b).out_c for b in spec.acbs)) * w * x.itemsize
 
 
 class TestEseAttention:
@@ -129,22 +164,18 @@ class TestAosaForward:
             np.testing.assert_allclose(out[b:b + 1], aosa_forward(x[b:b + 1], spec),
                                        atol=1e-5, rtol=1e-5)
 
-    def test_peak_memory_is_one_concat_buffer(self):
-        # five fused layers write into one (1, 6c, h, w) buffer; the peak is
-        # that buffer plus one column block or the projection output, not the
-        # layer maps and a concatenated copy of them (twice the buffer)
+    def test_peak_memory_is_one_band(self):
+        # five fused layers over a tall map: no (1, 6c, h, w) concat buffer or
+        # whole layer map is made. The peak is the output, one band's panel,
+        # each map's window of a band and the rows ahead of it, and one column
+        # block; the whole concat buffer alone would be six times the input
         rng = np.random.default_rng(10)
-        c, h, w, layers = 8, 256, 256, 5
-        spec = AosaSpec(
-            acbs=[fuse_block(random_acb(rng, c, c)) for _ in range(layers)],
-            projection=fuse_block(conv_bn(kaiming_conv(rng, c, (layers + 1) * c, 1, 1),
-                                          random_bn(rng, c))),
-            ese=EseSpec(np.zeros((c, c), np.float32), np.zeros(c, np.float32)),
-            residual=True)
+        c, h, w, layers = 8, 1024, 256, 5
+        spec = random_aosa(rng, c, c, layers, c, fused=True)
         x = rng.normal(size=(1, c, h, w)).astype(np.float32)
-        buffer = (layers + 1) * x.nbytes
-        cols_row = c * 9 * w * x.itemsize
-        cols = tensor_ops.COLS_BLOCK_BYTES // cols_row * cols_row
+        row = c * w * x.itemsize  # one row of one map
+        band = backbone.BAND_PANEL_BYTES // ((layers + 1) * row)
+        windows = sum(band + ahead + 2 for ahead in range(layers, 0, -1)) + band
         tracemalloc.start()
         try:
             out = aosa_forward(x, spec)
@@ -152,7 +183,68 @@ class TestAosaForward:
         finally:
             tracemalloc.stop()
         assert out.shape == x.shape
-        assert peak < buffer + max(cols, out.nbytes) + 2**20
+        bound = out.nbytes + backbone.BAND_PANEL_BYTES + windows * row \
+            + tensor_ops.COLS_BLOCK_BYTES + 2**20
+        assert peak < bound < (layers + 1) * x.nbytes / 2
+
+    def test_bit_identical_to_whole_maps_at_the_shipped_budget(self):
+        rng = np.random.default_rng(12)
+        # a full-width stage 1 on a 32x128 map runs in 10-row bands
+        full = random_aosa(rng, 128, 128, 5, 256, fused=True)
+        x = rng.normal(size=(1, 128, 32, 128)).astype(np.float32)
+        assert band_budget(32, x, full) > backbone.BAND_PANEL_BYTES
+        np.testing.assert_array_equal(aosa_forward(x, full), whole_map_aosa(x, full))
+        # tiny's stage 1 at the largest default scale runs as one band
+        for fused in (True, False):
+            tiny = random_aosa(rng, 8, 8, 1, 8, fused=fused)
+            x = rng.normal(size=(1, 8, 224, 288)).astype(np.float32)
+            np.testing.assert_array_equal(aosa_forward(x, tiny), whole_map_aosa(x, tiny))
+
+    @pytest.mark.parametrize("n,h,w,layers,band,fused,residual", [
+        (1, 10, 7, 3, 1, False, False),  # one-row bands, unfused three-branch layers
+        (1, 10, 7, 3, 3, True, True),    # h not a multiple of the band, residual
+        (1, 3, 9, 5, 1, True, False),    # h smaller than the layer count
+        (1, 2, 6, 5, 1, False, True),
+        (2, 9, 5, 2, 2, False, True),    # a batch of two
+        (2, 11, 4, 4, 4, True, False),
+    ])
+    def test_narrow_bands_match_whole_maps(self, n, h, w, layers, band, fused, residual,
+                                           monkeypatch):
+        rng = np.random.default_rng(13)
+        in_c = 4
+        spec = random_aosa(rng, in_c, 6, layers, in_c if residual else 5, fused=fused)
+        x = rng.normal(size=(n, in_c, h, w)).astype(np.float32)
+        want = whole_map_aosa(x, spec)
+        monkeypatch.setattr(backbone, "BAND_PANEL_BYTES", band_budget(band, x, spec))
+        np.testing.assert_allclose(aosa_forward(x, spec), want, rtol=1e-6, atol=1e-6)
+
+    @pytest.mark.parametrize("band", [1, 7])
+    @pytest.mark.parametrize("fused", [True, False])
+    def test_each_layer_computes_each_row_once(self, band, fused, monkeypatch):
+        # no halo row is computed twice: each conv's output rows sum to h, and
+        # the conv MACs are the block's whole-map count
+        rng = np.random.default_rng(14)
+        spec = random_aosa(rng, 16, 16, 3, 24, fused=fused)
+        n, h, w = 2, 40, 48
+        x = rng.normal(size=(n, 16, h, w)).astype(np.float32)
+        monkeypatch.setattr(backbone, "BAND_PANEL_BYTES", band_budget(band, x, spec))
+        rows, macs = {}, []
+        conv2d = tensor_ops.conv2d
+
+        def counted(x, spec, out=None):
+            y = conv2d(x, spec, out=out)
+            rows[id(spec.weight)] = rows.get(id(spec.weight), 0) + y.shape[2]
+            macs.append(y.shape[0] * y.shape[2] * y.shape[3] * spec.weight.size)
+            return y
+        monkeypatch.setattr(backbone, "conv2d", counted)
+        monkeypatch.setattr(fusion, "conv2d", counted)
+        aosa_forward(x, spec)
+        blocks = [*spec.acbs, spec.projection]
+        convs = [conv for block in blocks for conv in (
+            [block] if isinstance(block, ConvSpec) else [b.conv for b in block.branches])]
+        assert sorted(rows) == sorted(id(conv.weight) for conv in convs)
+        assert all(rows[id(conv.weight)] == h for conv in convs)
+        assert sum(macs) == n * sum(block_macs(block, (h, w)) for block in blocks)
 
 
 class TestBackboneForward:
@@ -180,16 +272,20 @@ class TestBackboneForward:
 
     @pytest.mark.skipif(sys.version_info < (3, 11), reason="CPython before 3.11 keeps "
                         "a temporary argument on the caller's stack until the call returns")
-    def test_full_width_stage1_peak_is_its_concat_buffer_and_projection(self):
+    def test_full_width_stage1_peak_is_banded(self):
         # stage 1 of full_config at 512x512: five 128-wide layers after the
-        # 128-wide stem output fill a 768-channel concat buffer at 128x128,
-        # projected to 256 channels; the stem output (8 MiB) is freed once the
-        # buffer holds its copy, and the input once stem0 has read it
+        # 128-wide stem output, projected to 256 channels at 128x128. It runs
+        # in bands, so the peak holds the stem output, the block output, one
+        # band's 768-channel panel, the six maps' windows of a band and the
+        # rows ahead of it, and one column block, where a whole concat buffer
+        # would hold 768 channels. The input dies once stem0 has read it
         rng = np.random.default_rng(11)
         config = BackboneConfig(stages=(BackboneConfig().stages[0],
                                         *tiny_backbone_config(8).stages[1:]))
         spec = build_backbone(config, random_params(rng), fused=True)
         unit = 128 * 128 * 4  # one channel at stride 4
+        band = backbone.BAND_PANEL_BYTES // (768 * 128 * 4)
+        windows = 6 * (band + 7) * 128 * 128 * 4
         tracemalloc.start()
         try:
             pyramid = backbone_forward(
@@ -198,7 +294,8 @@ class TestBackboneForward:
         finally:
             tracemalloc.stop()
         assert pyramid[0].shape == (1, 256, 128, 128)
-        assert peak < (768 + 256) * unit + 2**20
+        assert peak < (128 + 256) * unit + backbone.BAND_PANEL_BYTES + windows \
+            + tensor_ops.COLS_BLOCK_BYTES + 2**20
 
     def test_full_config_channel_plan(self):
         cfg = BackboneConfig()

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from acfd import cli, container, model, tensor_ops
+from acfd import backbone, cli, container, model, tensor_ops
 from acfd.anchors import generate_anchors
 from acfd.backbone import StageConfig
 from acfd.cli import build_parser, main
@@ -479,6 +479,21 @@ class TestDetect:
         err = capsys.readouterr().err
         assert err.startswith("cannot decode") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("data", [
+        b"P6\n1_0 1_0\n255\n" + bytes(300),  # int() reads 10x10
+        b"P6\n+4 +4\n255\n" + bytes(48),      # int() reads 4x4
+        b"P6\n4 4\n2_55\n" + bytes(48),
+        b"P6\n4 -4\n255\n" + bytes(48),
+    ])
+    def test_non_decimal_ppm_header_field_is_one_line_io_error(self, data, tmp_path,
+                                                               tiny_container, capsys):
+        bad = tmp_path / "bad.ppm"
+        bad.write_bytes(data)
+        assert main(["detect", str(bad), str(tiny_container)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("cannot decode") and err.count("\n") == 1
+        assert "not a decimal number" in err
+
     @pytest.mark.parametrize("edit", [
         lambda h: {"format_version": 1},
         lambda h: _without(h, "config"),
@@ -561,11 +576,16 @@ class TestDetect:
     def test_default_scales_output_is_pinned(self, ppm_image, fused_container, tmp_path,
                                              monkeypatch):
         # 3000 candidates, 1772 of them survive full NMS; the digest was recorded
-        # with the channel-major conv columns (kernel @ cols) in 4 MiB blocks,
-        # and the shipped blocks give the same bytes
-        for block_bytes in (tensor_ops.COLS_BLOCK_BYTES, 4 << 20):
+        # with the channel-major conv columns (kernel @ cols) in 4 MiB blocks
+        # and whole-map aggregation blocks. The shipped column blocks give the
+        # same bytes, and so do 300 000-byte band panels, which split the
+        # blocks of stages 1 and 2 into 16- to 48-row bands
+        for block_bytes, band_bytes in ((tensor_ops.COLS_BLOCK_BYTES, backbone.BAND_PANEL_BYTES),
+                                        (4 << 20, backbone.BAND_PANEL_BYTES),
+                                        (tensor_ops.COLS_BLOCK_BYTES, 300_000)):
             monkeypatch.setattr(tensor_ops, "COLS_BLOCK_BYTES", block_bytes)
-            out = tmp_path / f"golden-{block_bytes}.jsonl"
+            monkeypatch.setattr(backbone, "BAND_PANEL_BYTES", band_bytes)
+            out = tmp_path / f"golden-{block_bytes}-{band_bytes}.jsonl"
             assert main(["detect", str(ppm_image), str(fused_container),
                          "--out", str(out)]) == 0
             assert out.read_text().count("\n") == 100

@@ -1,6 +1,11 @@
+import sys
+import weakref
+
 import numpy as np
 import pytest
 
+from acfd import neck as neck_module
+from acfd import tensor_ops
 from acfd.backbone import (build_backbone, backbone_forward, random_params,
                            tiny_backbone_config)
 from acfd.fusion import Branches, ConvBn, fuse_block, map_blocks
@@ -137,3 +142,31 @@ class TestAbifpnForward:
         pyramid = [rng.normal(size=(1, 4, h, w)).astype(np.float32) for h, w in dims]
         with pytest.raises(ShapeError, match="whole multiple"):
             abifpn_forward(pyramid, neck)
+
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason="CPython before 3.11 keeps "
+                        "a temporary argument on the caller's stack until the call returns")
+    def test_resampled_maps_die_before_the_node_acb_runs(self, monkeypatch):
+        # every upsampled (top-down) and pooled (bottom-up) map is freed once its
+        # node has mixed it, before the node's ACB makes its output
+        rng = np.random.default_rng(12)
+        neck = build_neck((8,) * 6, width=8, repeats=1, param=random_params(rng))
+        made = []
+
+        def tracked(op):
+            def call(*args):
+                y = op(*args)
+                made.append(weakref.ref(y))
+                return y
+            return call
+        monkeypatch.setattr(neck_module, "resize_nearest", tracked(tensor_ops.resize_nearest))
+        monkeypatch.setattr(neck_module, "max_pool2d", tracked(tensor_ops.max_pool2d))
+        alive = []  # resampled maps alive as each block runs: 6 laterals, then 10 nodes
+        block_forward = neck_module.block_forward
+
+        def counted(x, block):
+            alive.append(sum(ref() is not None for ref in made))
+            return block_forward(x, block)
+        monkeypatch.setattr(neck_module, "block_forward", counted)
+        abifpn_forward(tiny_pyramid(rng), neck)
+        assert len(made) == 10
+        assert alive == [0] * 16
