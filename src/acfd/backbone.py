@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fusion import Block, Branches, ConvBn, acb_forward, block_conv, halo_rows
+from .fusion import Block, Branches, ConvBn, acb_forward, block_conv
 from .tensor_ops import (BNSpec, ConvSpec, ShapeError, check_tensor4,
                          concat_channels, conv2d, global_avg_pool, linear,
                          max_pool2d, relu, sigmoid)
@@ -36,11 +36,11 @@ def check_grid(hw: tuple[int, int]) -> None:
 
 
 def block_forward(x: np.ndarray, block: Block, out: np.ndarray | None = None,
-                  halo: int = 0) -> np.ndarray:
-    """The block on x, into out; ``halo`` as in ``fusion.halo_rows``."""
+                  row0: int | None = None) -> np.ndarray:
+    """The block on x, into out; ``row0`` as in ``conv2d``."""
     if isinstance(block, Branches):
-        return acb_forward(x, block, out, halo)
-    return conv2d(*halo_rows(x, block, halo), out=out)
+        return acb_forward(x, block, out, row0)
+    return conv2d(x, block, out, row0)
 
 
 @dataclass
@@ -74,77 +74,46 @@ class AosaSpec:
     residual: bool
 
 
-class _Window:
-    """Rows [base, end) of one map in a fixed buffer, shifted in place as the
-    bands move down. Rows outside the image are zeros: the padding that the
-    halo of the layer reading the map covers."""
-
-    def __init__(self, buf: np.ndarray, pad: int, start: int = 0):
-        buf[:, :, :pad] = 0
-        self.buf, self.pad, self.base, self.end = buf, pad, start - pad, start
-
-    def rows(self, lo: int, hi: int) -> np.ndarray:
-        return self.buf[:, :, lo - self.base:hi - self.base]
-
-    def drop_below(self, lo: int) -> None:
-        if lo > self.base:
-            self.buf[:, :, :self.end - lo] = self.rows(lo, self.end)
-            self.base = lo
-
-    def filled(self, hi: int, height: int) -> None:
-        """Rows up to hi are written; below the last one, zero the padding."""
-        self.end = hi
-        if hi == height:
-            self.rows(hi, hi + self.pad)[...] = 0
-            self.end += self.pad
-
-
 def aosa_forward(x: np.ndarray, spec: AosaSpec) -> np.ndarray:
     """Depth-first over bands of output rows, so that no concat buffer or
     layer map is ever whole.
 
-    For each band, every layer computes the rows it newly can, one halo
-    behind the map it reads, into a window that keeps only the rows still to
-    be read; the last layer writes the band's rows straight into its concat
-    panel. The panel starts with x's rows and gathers each other layer's, and
-    the projection writes the band's rows of the output. No row is computed
-    twice, and every output element is the same dot product as over whole
-    maps.
+    One concat panel holds x and every layer map, from one halo row above
+    the band down to the last row a later layer reads. For each band, every
+    layer computes the rows it newly can, one halo behind the map it reads,
+    straight into its channels of the panel, and the projection reads the
+    band's rows of all channels in place. Before the next band, x's rows are
+    copied in again and each map's finished rows move up to the panel's top.
+    No row is computed twice, and every output element is the same dot
+    product as over whole maps.
     """
     check_tensor4(x)
     n, c0, h, w = x.shape
     halos = [block_conv(block).padding[0] for block in spec.acbs]
     widths = [block_conv(block).out_c for block in spec.acbs]
-    band = max(1, min(h, BAND_PANEL_BYTES // (n * (c0 + sum(widths)) * w * x.itemsize)))
+    edges = np.cumsum([0, c0, *widths]).tolist()  # map j is channels edges[j]:edges[j + 1]
+    band = max(1, min(h, BAND_PANEL_BYTES // (n * edges[-1] * w * x.itemsize)))
     # x and each layer's map run this many rows ahead of the band
     ahead = [sum(halos[j:]) for j in range(len(halos) + 1)]
-    # x and each map a layer reads, padded by that layer's halo
-    windows = [_Window(np.empty((n, c, band + a + 2 * halo, w), dtype=x.dtype), halo)
-               for c, a, halo in zip([c0, *widths], ahead, halos)]
+    halo = max(halos)
+    # panel before out: in the other order glibc keeps 60 MB more heap on a full-model detect
+    panel = concat_channels(x[:, :, :min(h, band + ahead[0] + halo)], edges[-1] - c0)
     out = np.empty((n, block_conv(spec.projection).out_c, h, w), dtype=x.dtype)
     for r0 in range(0, h, band):
         r1 = min(h, r0 + band)
-        panel = concat_channels(x[:, :, r0:r1], sum(widths))
-        for win in windows:  # the panel reads from r0, each layer from r0 - halo at most
-            win.drop_below(r0 - win.pad)
-        maps = [*windows, _Window(panel[:, -widths[-1]:], 0, r0)]
-        for j, (win, a) in enumerate(zip(maps, ahead)):
-            lo, hi = win.end, min(h, r1 + a)
-            if hi <= lo:
-                continue
-            if j == 0:
-                win.rows(lo, hi)[...] = x[:, :, lo:hi]
-            else:
-                halo = halos[j - 1]
-                relu(block_forward(maps[j - 1].rows(lo - halo, hi + halo), spec.acbs[j - 1],
-                                   out=win.rows(lo, hi), halo=halo))
-            win.filled(hi, h)
-        c = c0
-        for win, width in zip(windows[1:], widths):
-            panel[:, c:c + width] = win.rows(r0, r1)
-            c += width
-        relu(block_forward(panel, spec.projection, out=out[:, :, r0:r1]))
-        del panel, maps  # before the next band's panel is made
+        top, end = max(0, r0 - halo), min(h, r1 + ahead[0])
+        if r0:  # x's rows come in again, and the maps' finished rows move up to the top
+            panel[:, :c0, :end - top] = x[:, :, top:end]
+            keep, shift = min(h, r0 + ahead[1]) - top, top - max(0, r0 - band - halo)
+            panel[:, c0:, :keep] = panel[:, c0:, shift:shift + keep]
+        for j, block in enumerate(spec.acbs, start=1):
+            lo, hi = min(h, r0 + ahead[j]) if r0 else 0, min(h, r1 + ahead[j])
+            if lo < hi:
+                relu(block_forward(panel[:, edges[j - 1]:edges[j], :end - top], block,
+                                   panel[:, edges[j]:edges[j + 1], lo - top:hi - top],
+                                   lo - top))
+        relu(block_forward(panel[:, :, r0 - top:r1 - top], spec.projection, out[:, :, r0:r1]))
+    del panel
     out = ese_attention(out, spec.ese.weight, spec.ese.bias)
     if spec.residual:
         out += x

@@ -43,11 +43,11 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-# argparse types: a value they reject exits 2 with the usage line
+# argparse types, of ASCII digits only: a value they reject exits 2 with the usage line
 
 def _parse_size(text: str) -> tuple[int, int]:
     h, _, w = text.lower().partition("x")
-    if not (h.isdecimal() and w.isdecimal() and 0 < int(h) <= MAX_SIDE
+    if not (text.isascii() and h.isdecimal() and w.isdecimal() and 0 < int(h) <= MAX_SIDE
             and 0 < int(w) <= MAX_SIDE):
         raise argparse.ArgumentTypeError(
             f"expected HxW of positive integers up to {MAX_SIDE}, got {text!r}")
@@ -55,7 +55,7 @@ def _parse_size(text: str) -> tuple[int, int]:
 
 
 def _positive_int(text: str) -> int:
-    if not (text.isdecimal() and int(text) > 0):
+    if not (text.isascii() and text.isdecimal() and int(text) > 0):
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return int(text)
 

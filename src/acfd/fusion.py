@@ -57,25 +57,14 @@ class Branches:
 Block = Branches | ConvSpec
 
 
-def halo_rows(x: np.ndarray, conv: ConvSpec, halo: int) -> tuple[np.ndarray, ConvSpec]:
-    """The rows of x that conv reads, and conv with vertical padding 0, for an
-    x that holds ``halo`` rows above and below the output rows (zero rows where
-    they stand for padding): a 1x3 branch skips the halo. halo 0 is a no-op."""
-    if not halo:
-        return x, conv
-    skip = halo - conv.padding[0]
-    return (x[:, :, skip:x.shape[2] - skip],
-            ConvSpec(conv.weight, conv.bias, conv.stride, (0, conv.padding[1])))
-
-
 def acb_forward(x: np.ndarray, block: Branches, out: np.ndarray | None = None,
-                halo: int = 0) -> np.ndarray:
+                row0: int | None = None) -> np.ndarray:
     """Sum of the normalized branch outputs (the fusion oracle), into out;
-    ``halo`` as in ``halo_rows``."""
+    ``row0`` as in ``conv2d``."""
     first, *rest = block.branches
-    out = batch_norm_infer(conv2d(*halo_rows(x, first.conv, halo), out=out), first.bn)
+    out = batch_norm_infer(conv2d(x, first.conv, out, row0), first.bn)
     for branch in rest:
-        out += batch_norm_infer(conv2d(*halo_rows(x, branch.conv, halo)), branch.bn)
+        out += batch_norm_infer(conv2d(x, branch.conv, np.empty_like(out), row0), branch.bn)
     return out
 
 

@@ -157,7 +157,8 @@ def _check_conv_dims(x: np.ndarray, spec: ConvSpec) -> tuple[int, int]:
     return oh, ow
 
 
-def conv2d(x: np.ndarray, spec: ConvSpec, out: np.ndarray | None = None) -> np.ndarray:
+def conv2d(x: np.ndarray, spec: ConvSpec, out: np.ndarray | None = None,
+           row0: int | None = None) -> np.ndarray:
     """2-D cross-correlation with zero padding (im2col + GEMM path).
 
     Columns are channel-major and built one block of output rows at a time;
@@ -169,8 +170,18 @@ def conv2d(x: np.ndarray, spec: ConvSpec, out: np.ndarray | None = None) -> np.n
     cols writes each block straight into its rows of the (n, out_c, oh, ow)
     output: a new array, or ``out`` when given, such as a channel slice of a
     wider NCHW buffer, which is returned.
+
+    With ``row0``, x is a cut of a taller map: output row i reads input rows
+    from (row0 + i) * sh - ph, counted from x's first row, rows outside x are
+    padding, and the output height is out's, which must then be given.
     """
     oh, ow = _check_conv_dims(x, spec)
+    if row0 is not None:
+        if out is None:
+            raise ShapeError("conv2d needs out when row0 is given")
+        oh = out.shape[2]
+    else:
+        row0 = 0
     n, c, h, w = x.shape
     kh, kw = spec.kh, spec.kw
     sh, sw = spec.stride
@@ -185,9 +196,10 @@ def conv2d(x: np.ndarray, spec: ConvSpec, out: np.ndarray | None = None) -> np.n
     if not np.may_share_memory(out_rows, out):  # a copy: the writes would be lost
         raise ShapeError(f"out with strides {out.strides} has no (out_c, n, oh*ow) view")
     if (kh, kw, sh, sw, ph, pw) == (1, 1, 1, 1, 0, 0):
-        # each image's input itself is the column matrix (a view when contiguous)
+        # each image's rows are the column matrix (a view when contiguous per channel)
         for b in range(n):
-            np.matmul(weight, x[b].reshape(c, h * w), out=out_rows[:, b])
+            np.matmul(weight, x[b, :, row0:row0 + oh].reshape(c, oh * w),
+                      out=out_rows[:, b])
     else:
         wp = w + 2 * pw  # the budget holds r rows of columns and (r - 1)*sh + kh strip rows
         rows = max(1, min(oh, (COLS_BLOCK_BYTES // (c * x.itemsize) - (kh - sh) * wp)
@@ -199,7 +211,7 @@ def conv2d(x: np.ndarray, spec: ConvSpec, out: np.ndarray | None = None) -> np.n
         for b in range(n):
             for r0 in range(0, oh, rows):
                 r = min(rows, oh - r0)
-                y0, span = r0 * sh - ph, (r - 1) * sh + kh
+                y0, span = (row0 + r0) * sh - ph, (r - 1) * sh + kh
                 lo = max(y0, 0)
                 hi = max(lo, min(y0 + span, h))
                 strip[:, :lo - y0] = 0

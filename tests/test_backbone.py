@@ -166,16 +166,16 @@ class TestAosaForward:
 
     def test_peak_memory_is_one_band(self):
         # five fused layers over a tall map: no (1, 6c, h, w) concat buffer or
-        # whole layer map is made. The peak is the output, one band's panel,
-        # each map's window of a band and the rows ahead of it, and one column
-        # block; the whole concat buffer alone would be six times the input
+        # whole layer map is made. The peak is the output, one panel of all six
+        # maps over a band, the rows ahead of it and one halo row above it, and
+        # one column block; the whole concat buffer alone would be six times
+        # the input
         rng = np.random.default_rng(10)
         c, h, w, layers = 8, 1024, 256, 5
         spec = random_aosa(rng, c, c, layers, c, fused=True)
         x = rng.normal(size=(1, c, h, w)).astype(np.float32)
-        row = c * w * x.itemsize  # one row of one map
-        band = backbone.BAND_PANEL_BYTES // ((layers + 1) * row)
-        windows = sum(band + ahead + 2 for ahead in range(layers, 0, -1)) + band
+        row = (layers + 1) * c * w * x.itemsize  # one row of all six maps
+        panel = (backbone.BAND_PANEL_BYTES // row + layers + 1) * row
         tracemalloc.start()
         try:
             out = aosa_forward(x, spec)
@@ -183,8 +183,7 @@ class TestAosaForward:
         finally:
             tracemalloc.stop()
         assert out.shape == x.shape
-        bound = out.nbytes + backbone.BAND_PANEL_BYTES + windows * row \
-            + tensor_ops.COLS_BLOCK_BYTES + 2**20
+        bound = out.nbytes + panel + tensor_ops.COLS_BLOCK_BYTES + 2**20
         assert peak < bound < (layers + 1) * x.nbytes / 2
 
     def test_bit_identical_to_whole_maps_at_the_shipped_budget(self):
@@ -231,8 +230,8 @@ class TestAosaForward:
         rows, macs = {}, []
         conv2d = tensor_ops.conv2d
 
-        def counted(x, spec, out=None):
-            y = conv2d(x, spec, out=out)
+        def counted(x, spec, out=None, row0=None):
+            y = conv2d(x, spec, out, row0)
             rows[id(spec.weight)] = rows.get(id(spec.weight), 0) + y.shape[2]
             macs.append(y.shape[0] * y.shape[2] * y.shape[3] * spec.weight.size)
             return y
@@ -272,30 +271,38 @@ class TestBackboneForward:
 
     @pytest.mark.skipif(sys.version_info < (3, 11), reason="CPython before 3.11 keeps "
                         "a temporary argument on the caller's stack until the call returns")
-    def test_full_width_stage1_peak_is_banded(self):
+    def test_full_width_stage1_peak_is_banded(self, monkeypatch):
         # stage 1 of full_config at 512x512: five 128-wide layers after the
         # 128-wide stem output, projected to 256 channels at 128x128. It runs
-        # in bands, so the peak holds the stem output, the block output, one
-        # band's 768-channel panel, the six maps' windows of a band and the
-        # rows ahead of it, and one column block, where a whole concat buffer
-        # would hold 768 channels. The input dies once stem0 has read it
+        # in bands, so while it runs the peak holds the stem output, the block
+        # output, one panel of the 768 channels over a band, the five rows
+        # ahead of it and one halo row above it, and one column block, where a
+        # whole concat buffer would hold 768 channels. The input dies once
+        # stem0 has read it
         rng = np.random.default_rng(11)
         config = BackboneConfig(stages=(BackboneConfig().stages[0],
                                         *tiny_backbone_config(8).stages[1:]))
         spec = build_backbone(config, random_params(rng), fused=True)
         unit = 128 * 128 * 4  # one channel at stride 4
-        band = backbone.BAND_PANEL_BYTES // (768 * 128 * 4)
-        windows = 6 * (band + 7) * 128 * 128 * 4
+        row = 768 * 128 * 4  # one row of the 768 channels
+        panel = (backbone.BAND_PANEL_BYTES // row + 6) * row
+        peaks = []
+        aosa = backbone.aosa_forward
+
+        def traced(x, block):
+            tracemalloc.reset_peak()
+            y = aosa(x, block)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            return y
+        monkeypatch.setattr(backbone, "aosa_forward", traced)
         tracemalloc.start()
         try:
             pyramid = backbone_forward(
                 rng.standard_normal((1, 3, 512, 512), dtype=np.float32), spec)
-            peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert pyramid[0].shape == (1, 256, 128, 128)
-        assert peak < (128 + 256) * unit + backbone.BAND_PANEL_BYTES + windows \
-            + tensor_ops.COLS_BLOCK_BYTES + 2**20
+        assert peaks[0] < (128 + 256) * unit + panel + tensor_ops.COLS_BLOCK_BYTES + 2**20
 
     def test_full_config_channel_plan(self):
         cfg = BackboneConfig()

@@ -697,6 +697,11 @@ def test_negative_bn_variance_is_one_line_io_error(command, tiny_container, ppm_
     ["match", "a.json", "p.json", "--t1", "0.35,1.5"],
     ["match", "a.json", "p.json", "--t2", "1.01"],
     ["match", "a.json", "p.json", "--t2", "0.7,-inf"],
+    # digits of other scripts, which int() and str.isdecimal() accept
+    ["detect", "x.ppm", "w.acfd", "--scales", "\uff11\uff12\uff18x\uff11\uff12\uff18"],
+    ["detect", "x.ppm", "w.acfd", "--single-scale", "128x\u0661\u0662\u0668"],
+    ["bench", "w.acfd", "--repeats", "\uff13"],
+    ["bench", "w.acfd", "--size", "\u0967\u0968\u096ex128"],
 ])
 def test_malformed_argument_is_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as exc:

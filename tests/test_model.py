@@ -155,8 +155,8 @@ def test_count_model_macs_equals_the_macs_forward_runs(config, fused, hw, monkey
     m = fuse_model(m) if fused else m
     macs = []
 
-    def counted_conv2d(x, spec, out=None):
-        out = conv2d(x, spec, out=out)
+    def counted_conv2d(x, spec, out=None, row0=None):
+        out = conv2d(x, spec, out, row0)
         macs.append(out.size * spec.in_c * spec.kh * spec.kw)
         return out
 

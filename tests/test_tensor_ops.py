@@ -235,6 +235,33 @@ class TestConv2d:
             conv2d(np.ones((1, 3, 8, 8), dtype=np.float32), spec, out=buf[..., :8])
         assert not buf.any()
 
+    @pytest.mark.parametrize("slack", [0, 1], ids=["tight-cut", "loose-cut"])
+    @pytest.mark.parametrize("lo, hi", [(0, 3), (3, 6), (6, 9), (0, 9)],
+                             ids=["top-edge", "middle", "bottom-edge", "whole"])
+    @pytest.mark.parametrize("kernel", [(1, 1), (3, 3), (1, 3), (3, 1)])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_row0_reads_a_cut_of_a_taller_map(self, n, kernel, lo, hi, slack, monkeypatch):
+        # output rows [lo, hi) of the whole map, computed from the input rows
+        # they read (and `slack` more) into the same rows of a whole-map buffer
+        rng = np.random.default_rng(17)
+        x = rng.normal(size=(n, 3, 9, 7)).astype(np.float32)
+        ph = kernel[0] // 2
+        spec = make_conv(rng.normal(size=(4, 3, *kernel)), bias=rng.normal(size=4),
+                         padding=(ph, kernel[1] // 2))
+        set_block_rows(monkeypatch, 2, x, spec)
+        a, b = max(0, lo - ph - slack), min(9, hi + ph + slack)
+        buf = np.zeros((n, 4, 9, 7), dtype=np.float32)
+        got = conv2d(x[:, :, a:b], spec, buf[:, :, lo:hi], lo - a)
+        assert got.base is buf
+        np.testing.assert_allclose(buf[:, :, lo:hi], conv2d_direct(x, spec)[:, :, lo:hi],
+                                   atol=1e-4, rtol=1e-4)
+        assert not buf[:, :, :lo].any() and not buf[:, :, hi:].any()
+
+    def test_row0_without_out_raises(self):
+        spec = make_conv(np.ones((4, 3, 3, 3)), padding=(1, 1))
+        with pytest.raises(ShapeError):
+            conv2d(np.ones((1, 3, 8, 8), dtype=np.float32), spec, row0=1)
+
     def test_matches_scipy_correlate(self):
         scipy_signal = pytest.importorskip("scipy.signal")
         rng = np.random.default_rng(3)
