@@ -43,7 +43,8 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-# argparse types, of ASCII digits only: a value they reject exits 2 with the usage line
+# argparse types, of ASCII only, with no "_" or surrounding space, all of which int()
+# and float() take: a value they reject exits 2 with the usage line
 
 def _parse_size(text: str) -> tuple[int, int]:
     h, _, w = text.lower().partition("x")
@@ -60,6 +61,12 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _seed(text: str) -> int:
+    if not (text.isascii() and text.isdecimal()):
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _grid_size(text: str) -> tuple[int, int]:
     size = _parse_size(text)
     if size[0] % GRID_MULTIPLE or size[1] % GRID_MULTIPLE:
@@ -70,7 +77,8 @@ def _grid_size(text: str) -> tuple[int, int]:
 
 def _unit_float(text: str) -> float:
     try:
-        if 0.0 <= float(text) <= 1.0:  # NaN fails both comparisons
+        if (text.isascii() and "_" not in text and text == text.strip()
+                and 0.0 <= float(text) <= 1.0):  # NaN fails both comparisons
             return float(text)
     except ValueError:
         pass
@@ -132,7 +140,7 @@ def cmd_fuse(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = verify.run_all(seed=args.seed, inject_fault=args.inject_fault)
+    results = verify.run_all(seed=args.seed)
     if args.json:
         print(json.dumps({
             "checks": [{"name": r.name, "passed": r.passed, "detail": r.detail}
@@ -372,13 +380,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fuse", help="fold ACB branches and batch norms into plain convs")
     p.add_argument("input")
     p.add_argument("output")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default="0")
     p.set_defaults(func=cmd_fuse)
 
     p = sub.add_parser("verify", help="run the property-check battery")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default="0")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("match", help="anchor-match statistics over an annotation set")
@@ -413,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("container")
     p.add_argument("--repeats", type=_positive_int, default=20)
     p.add_argument("--size", type=_grid_size, default="256x256")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default="0")
     p.add_argument("--csv", action="store_true")
     p.set_defaults(func=cmd_bench)
     return parser

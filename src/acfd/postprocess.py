@@ -1,4 +1,4 @@
-"""Inference post-processing and single-class average precision.
+"""Inference post-processing: from head outputs to the final detections.
 
 Per test scale: sigmoid the logits, drop scores at or below the confidence
 floor, keep the top 1000, decode boxes and map them back into the original
@@ -86,47 +86,3 @@ def postprocess(per_scale: list[tuple[np.ndarray, np.ndarray]],
     scores = np.concatenate([s for _, s in per_scale])
     keep = nms(boxes, scores, nms_iou, FINAL_TOP)
     return boxes[keep], scores[keep]
-
-
-def evaluate_ap(gts: list[np.ndarray], dets: list[tuple[np.ndarray, np.ndarray]],
-                iou_thresh: float = 0.5) -> float:
-    """Single-class AP at the given IoU, all-point interpolation.
-
-    ``dets`` holds one (boxes (k, 4), scores (k,)) pair per image. Detections
-    are swept in global score-descending order; each ground truth may satisfy
-    one detection. Zero ground truths: AP is 1.0 when there are also no
-    detections, else 0.0.
-    """
-    total_gt = sum(len(g) for g in gts)
-    boxes = np.concatenate([np.zeros((0, 4)), *(np.reshape(b, (-1, 4)) for b, _ in dets)])
-    scores = np.concatenate([np.zeros(0), *(np.reshape(s, -1) for _, s in dets)])
-    image = np.repeat(np.arange(len(dets)), [np.size(s) for _, s in dets])
-    if total_gt == 0:
-        return 1.0 if not len(scores) else 0.0
-    if not len(scores):
-        return 0.0
-
-    order = np.argsort(-scores, kind="stable")
-    matched = [np.zeros(len(g), dtype=bool) for g in gts]
-    tp = np.zeros(len(scores))
-    for rank, idx in enumerate(order):
-        img = image[idx]
-        gt_boxes = np.asarray(gts[img], dtype=np.float64).reshape(-1, 4)
-        if gt_boxes.shape[0] == 0:
-            continue
-        overlaps = iou_matrix(boxes[idx:idx + 1], gt_boxes)[0]
-        best = int(overlaps.argmax())
-        if overlaps[best] >= iou_thresh and not matched[img][best]:
-            matched[img][best] = True
-            tp[rank] = 1.0
-
-    tp_cum = np.cumsum(tp)
-    fp_cum = np.cumsum(1.0 - tp)
-    recall = tp_cum / total_gt
-    precision = tp_cum / (tp_cum + fp_cum)
-    mrec = np.concatenate([[0.0], recall, [1.0]])
-    mpre = np.concatenate([[0.0], precision, [0.0]])
-    for i in range(len(mpre) - 2, -1, -1):
-        mpre[i] = max(mpre[i], mpre[i + 1])
-    steps = np.flatnonzero(mrec[1:] != mrec[:-1]) + 1
-    return float(np.sum((mrec[steps] - mrec[steps - 1]) * mpre[steps]))

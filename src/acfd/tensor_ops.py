@@ -5,9 +5,7 @@ layout, float32 by default, and preserves the input dtype so the same code
 path serves the float64 verification mode. ``relu`` and ``batch_norm_infer``
 overwrite their input and return it; ``conv2d`` and ``bilinear_resize`` write
 into ``out`` when given one, such as a channel slice of a concat buffer from
-``concat_channels``; every other op returns a new array. ``conv2d_direct``
-and ``max_pool2d_direct`` are the plain-loop references against which the
-im2col conv and the separable max pool are checked.
+``concat_channels``; every other op returns a new array.
 """
 from __future__ import annotations
 
@@ -226,31 +224,6 @@ def conv2d(x: np.ndarray, spec: ConvSpec, out: np.ndarray | None = None,
     return out
 
 
-def conv2d_direct(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
-    """Reference convolution: one window sum per output element.
-
-    Deliberately naive (loops over every output position) so it shares no
-    code with conv2d; only suitable for small tensors.
-    """
-    oh, ow = _check_conv_dims(x, spec)
-    n, _, _, _ = x.shape
-    kh, kw = spec.kh, spec.kw
-    sh, sw = spec.stride
-    ph, pw = spec.padding
-    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    out = np.zeros((n, spec.out_c, oh, ow), dtype=x.dtype)
-    for b in range(n):
-        for oc in range(spec.out_c):
-            for i in range(oh):
-                for j in range(ow):
-                    window = xp[b, :, i * sh:i * sh + kh, j * sw:j * sw + kw]
-                    acc = np.sum(window * spec.weight[oc])
-                    if spec.bias is not None:
-                        acc = acc + spec.bias[oc]
-                    out[b, oc, i, j] = acc
-    return out
-
-
 def batch_norm_infer(x: np.ndarray, bn: BNSpec) -> np.ndarray:
     """Per-channel affine normalization using stored statistics, in place:
     every caller passes a conv output it has just made."""
@@ -279,20 +252,6 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pool_fill(dtype) -> float | int:
-    """Padding value that never wins a maximum."""
-    return -np.inf if np.issubdtype(dtype, np.floating) else np.iinfo(dtype).min
-
-
-def _pool_dims(x: np.ndarray, kernel, stride, padding) -> tuple[int, int]:
-    check_tensor4(x)
-    oh = conv_output_shape(x.shape[2], kernel[0], stride[0], padding[0])
-    ow = conv_output_shape(x.shape[3], kernel[1], stride[1], padding[1])
-    if oh < 1 or ow < 1:
-        raise ShapeError(f"non-positive pool output {oh}x{ow} for input {x.shape}")
-    return oh, ow
-
-
 def max_pool2d(x: np.ndarray, kernel: tuple[int, int], stride: tuple[int, int],
                padding: tuple[int, int] = (0, 0)) -> np.ndarray:
     """Windowed maximum; padding cells never win.
@@ -302,47 +261,21 @@ def max_pool2d(x: np.ndarray, kernel: tuple[int, int], stride: tuple[int, int],
     it inside the input, so no padded copy is made. Max is exact and
     np.maximum propagates NaN, so this equals the per-window maximum.
     """
-    oh, ow = _pool_dims(x, kernel, stride, padding)
+    check_tensor4(x)
+    oh = conv_output_shape(x.shape[2], kernel[0], stride[0], padding[0])
+    ow = conv_output_shape(x.shape[3], kernel[1], stride[1], padding[1])
+    if oh < 1 or ow < 1:
+        raise ShapeError(f"non-positive pool output {oh}x{ow} for input {x.shape}")
+    fill = -np.inf if np.issubdtype(x.dtype, np.floating) else np.iinfo(x.dtype).min
     out = x
     for axis, k, s, p, o in zip((2, 3), kernel, stride, padding, (oh, ow)):
         src = np.moveaxis(out, axis, 0)
-        out = np.full((*out.shape[:axis], o, *out.shape[axis + 1:]), _pool_fill(x.dtype),
-                      dtype=x.dtype)
+        out = np.full((*out.shape[:axis], o, *out.shape[axis + 1:]), fill, dtype=x.dtype)
         dst = np.moveaxis(out, axis, 0)
         for t in range(k):  # outputs lo:hi read input lo*s - p + t onwards, s apart
             lo, hi = max(0, (p - t + s - 1) // s), min(o, (len(src) - 1 + p - t) // s + 1)
             if lo < hi:
                 np.maximum(dst[lo:hi], src[lo * s - p + t::s][:hi - lo], out=dst[lo:hi])
-    return out
-
-
-def max_pool2d_direct(x: np.ndarray, kernel: tuple[int, int], stride: tuple[int, int],
-                      padding: tuple[int, int] = (0, 0)) -> np.ndarray:
-    """Reference max pool: one scalar scan per output window.
-
-    Deliberately naive (shares no slicing or reduction with max_pool2d);
-    a NaN in the window wins, cells outside the input are skipped, and a
-    window that lies wholly in the padding gives the padding value. Only
-    suitable for small tensors.
-    """
-    oh, ow = _pool_dims(x, kernel, stride, padding)
-    n, c, h, w = x.shape
-    kh, kw = kernel
-    sh, sw = stride
-    ph, pw = padding
-    out = np.empty((n, c, oh, ow), dtype=x.dtype)
-    for b in range(n):
-        for ch in range(c):
-            for i in range(oh):
-                for j in range(ow):
-                    best = _pool_fill(x.dtype)
-                    for r in range(i * sh - ph, i * sh - ph + kh):
-                        for q in range(j * sw - pw, j * sw - pw + kw):
-                            if 0 <= r < h and 0 <= q < w and best == best:
-                                v = x[b, ch, r, q]
-                                if v != v or v > best:
-                                    best = v
-                    out[b, ch, i, j] = best
     return out
 
 

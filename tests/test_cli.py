@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import hashlib
 import json
@@ -11,10 +12,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from acfd import backbone, cli, container, model, tensor_ops
+from acfd import backbone, cli, container, model, tensor_ops, verify
 from acfd.anchors import generate_anchors
 from acfd.backbone import StageConfig
 from acfd.cli import build_parser, main
+from acfd.fusion import fuse_block
 from acfd.matching import dam_match
 from acfd.model import build_model, fuse_model, tiny_config
 from acfd.ppm import write_ppm
@@ -143,8 +145,14 @@ class TestVerify:
         assert len(lines) >= 6
         assert all(l.startswith("PASS") for l in lines)
 
-    def test_injected_fault_fails(self, capsys):
-        assert main(["verify", "--seed", "0", "--inject-fault"]) == 3
+    def test_injected_fault_fails(self, capsys, monkeypatch):
+        def faulty_fold(block):
+            fused = fuse_block(block)
+            fused.weight.flat[0] += 1e-2
+            return fused
+
+        monkeypatch.setattr(verify, "fuse_block", faulty_fold)
+        assert main(["verify", "--seed", "0"]) == 3
         captured = capsys.readouterr()
         assert "acb-fusion" in captured.out + captured.err
 
@@ -702,6 +710,18 @@ def test_negative_bn_variance_is_one_line_io_error(command, tiny_container, ppm_
     ["detect", "x.ppm", "w.acfd", "--single-scale", "128x\u0661\u0662\u0668"],
     ["bench", "w.acfd", "--repeats", "\uff13"],
     ["bench", "w.acfd", "--size", "\u0967\u0968\u096ex128"],
+    # seeds, which np.random.default_rng rejects when negative
+    ["verify", "--seed", "-1"],
+    ["fuse", "a.acfd", "b.acfd", "--seed", "-5"],
+    ["bench", "w.acfd", "--seed", "-2"],
+    ["verify", "--seed", "\uff11"],
+    ["verify", "--seed", "1_0"],
+    ["verify", "--seed", " 7"],
+    # fractions in forms float() accepts
+    ["detect", "x.ppm", "w.acfd", "--conf", "\uff10.\uff15"],
+    ["match", "a.json", "p.json", "--t1", "\u0660.\u0663"],
+    ["detect", "x.ppm", "w.acfd", "--nms-iou", "0.5_5"],
+    ["detect", "x.ppm", "w.acfd", "--mean", " 0.5"],
 ])
 def test_malformed_argument_is_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -709,6 +729,16 @@ def test_malformed_argument_is_usage_error(argv, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("usage:") and "error: argument" in err.splitlines()[-1]
+
+
+def test_no_option_is_hidden():
+    # an option kept out of --help, such as a switch only a test uses, would go unseen
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    hidden = [f"{name} {action.dest}"
+              for name, p in [("acfd", parser), *commands.choices.items()]
+              for action in p._actions if action.help == argparse.SUPPRESS]
+    assert not hidden, f"hidden options: {', '.join(hidden)}"
 
 
 def test_largest_size_is_accepted():

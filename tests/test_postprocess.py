@@ -6,10 +6,10 @@ import pytest
 from acfd import postprocess as postprocess_module
 from acfd.anchors import HeadOutput, decode, generate_anchors
 from acfd.matching import iou_matrix
-from acfd.postprocess import (TEST_SCALES, evaluate_ap, nms, pad_to_grid, postprocess,
-                              scale_detections)
+from acfd.postprocess import TEST_SCALES, nms, pad_to_grid, postprocess, scale_detections
 from acfd.tensor_ops import sigmoid
 from acfd.verify import nms_reference
+from reference import evaluate_ap
 
 LEVEL_DIMS_128 = [(32, 32), (16, 16), (8, 8), (4, 4), (2, 2), (1, 1)]
 

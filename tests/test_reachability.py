@@ -23,9 +23,6 @@ from acfd.ppm import write_ppm
 
 # qualified name -> why it stays although no subcommand calls it
 UNREACHED = {
-    "tensor_ops.conv2d_direct": "the loop oracle the im2col conv is tested against",
-    "tensor_ops.max_pool2d_direct": "the loop oracle the strided pool is tested against",
-    "postprocess.evaluate_ap": "the AP scorer of the synthetic-pipeline acceptance test",
     "container.load": "the in-memory half of the save/load bytes round trip",
     "model.full_config": "the paper-sized model the benchmark builds",
     "ppm.write_ppm": "writes the images the benchmark and the tests feed detect",

@@ -10,9 +10,9 @@ from acfd import tensor_ops
 from acfd.postprocess import TEST_SCALES
 from acfd.tensor_ops import (BNSpec, ConvSpec, ShapeError, batch_norm_infer,
                              bilinear_resize, concat_channels, conv2d,
-                             conv2d_direct, conv_output_shape, global_avg_pool,
-                             linear, max_pool2d, max_pool2d_direct, relu,
-                             resize_nearest, sigmoid)
+                             conv_output_shape, global_avg_pool, linear,
+                             max_pool2d, relu, resize_nearest, sigmoid)
+from reference import conv2d_direct, max_pool2d_direct
 
 
 def set_block_rows(monkeypatch, rows, x, spec):
