@@ -121,13 +121,11 @@ def cmd_fuse(args) -> int:
             print(f"bad container {args.input}: non-finite parameter {name}", file=sys.stderr)
             return EXIT_IO
     fused = model.fuse_model(unfused)
-    rng = np.random.default_rng(args.seed)
-    # probe in the normalized-image range the detector actually sees
-    probe = rng.uniform(-0.5, 0.5, size=(1, 3, 128, 128)).astype(np.float32)
-    out_a = model.forward(unfused, probe)
-    out_b = model.forward(fused, probe)
-    err = max(float(np.abs(a - b).max())
-              for a, b in zip(out_a.cls + out_a.reg, out_b.cls + out_b.reg))
+    err = verify.fusion_drift(unfused, fused, args.seed)
+    if not err <= verify.FUSION_DRIFT_BOUND:  # NaN fails it too
+        print(f"fold refused: probe drift {err:.3e} is not within the bound "
+              f"{verify.FUSION_DRIFT_BOUND:g}", file=sys.stderr)
+        return EXIT_VERIFY
     try:
         container.save_file(fused, args.output)
     except OSError as exc:

@@ -125,17 +125,22 @@ def check_acb_fusion(rng: np.random.Generator, trials: int = 25) -> CheckResult:
     return CheckResult("acb-fusion", worst <= 1e-4, f"max err {worst:.2e}")
 
 
+FUSION_DRIFT_BOUND = 1e-3  # `fuse` refuses a fold whose fusion_drift is above it
+
+
+def fusion_drift(unfused, fused, seed: int) -> float:
+    """Largest |fused - unfused| over every head output (NaN if any is), on a
+    seeded (1, 3, 128, 128) probe in the normalized-image range detect sees."""
+    rng = np.random.default_rng(seed)
+    probe = rng.uniform(-0.5, 0.5, size=(1, 3, 128, 128)).astype(np.float32)
+    a, b = model.forward(unfused, probe), model.forward(fused, probe)
+    return float(np.max([np.abs(x - y).max() for x, y in zip(a.cls + a.reg, b.cls + b.reg)]))
+
+
 def check_model_fusion_drift(seed: int = 0) -> CheckResult:
     m = model.build_model(model.tiny_config(), seed=seed)
-    fused = model.fuse_model(m)
-    rng = np.random.default_rng(seed + 1)
-    image = rng.uniform(-1, 1, size=(1, 3, 128, 128)).astype(np.float32)
-    a = model.forward(m, image)
-    b = model.forward(fused, image)
-    worst = 0.0
-    for ca, cb in zip(a.cls + a.reg, b.cls + b.reg):
-        worst = max(worst, float(np.abs(ca - cb).max()))
-    return CheckResult("model-fusion-drift", worst <= 1e-3, f"max err {worst:.2e}")
+    drift = fusion_drift(m, model.fuse_model(m), seed + 1)
+    return CheckResult("model-fusion-drift", drift <= FUSION_DRIFT_BOUND, f"max err {drift:.2e}")
 
 
 def _random_match_instance(rng: np.random.Generator):

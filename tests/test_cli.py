@@ -137,6 +137,37 @@ class TestFuse:
         assert captured.err == f"bad container {bad}: non-finite parameter {name}\n"
         assert not out.exists()
 
+    def test_fold_above_the_drift_bound_is_refused(self, tiny_container, tmp_path, capsys,
+                                                  monkeypatch):
+        def faulty_fuse_model(m):
+            fused = fuse_model(m)
+            model.named_arrays(fused)["backbone.stem0.conv.weight"].flat[0] += 1.0
+            return fused
+
+        monkeypatch.setattr(cli.model, "fuse_model", faulty_fuse_model)
+        out = tmp_path / "out.acfd"
+        assert main(["fuse", str(tiny_container), str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "drift" in captured.err
+        assert f"{verify.FUSION_DRIFT_BOUND:g}" in captured.err
+        assert not out.exists()
+
+    def test_nan_drift_is_refused(self, tiny_container, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(verify, "fusion_drift", lambda *args: float("nan"))
+        out = tmp_path / "out.acfd"
+        assert main(["fuse", str(tiny_container), str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert "drift nan" in captured.err
+        assert not out.exists()
+
+    def test_drift_is_nan_when_an_output_is(self, tiny_container):
+        m = container.load_file(tiny_container)
+        fused = fuse_model(m)
+        model.named_arrays(fused)["head.reg.bias"][-1] = np.nan
+        assert np.isnan(verify.fusion_drift(m, fused, 0))
+
 
 class TestVerify:
     def test_all_checks_pass(self, capsys):

@@ -519,6 +519,16 @@ class TestBilinearResize:
         assert grid[:, :, :800, :1075].all()
         assert peak < 4 * 800 * 1075 * image.itemsize
 
+    @pytest.mark.parametrize("hw", [(1, 1), (1, 5), (7, 1), (3, 3), (480, 645), (722, 938)])
+    @pytest.mark.parametrize("mean", [0.0, 0.5, 1.0, 127 / 255])
+    def test_same_size_is_a_byte_copy(self, hw, mean):
+        # a plane as detect normalizes it: uint8 pixels / 255 - mean
+        pixels = np.random.default_rng(9).integers(0, 256, (1, 1, *hw))
+        plane = pixels.astype(np.float32)
+        plane /= 255.0
+        plane -= mean
+        assert bilinear_resize(plane, hw).tobytes() == plane.tobytes()
+
 
 def _bilinear_reference(image, target):
     """Every output pixel gathered from its four source pixels at once."""
