@@ -20,28 +20,29 @@ ANCHOR_SCALE = 4
 DELTA_CLAMP = float(np.log(1000.0 / 16.0))
 
 
-def generate_anchors(image_hw: tuple[int, int]) -> np.ndarray:
-    """(total, 4) float64 corner-form boxes from per-level center grids; the
-    anchor at cell (i,j) of stride s is centered at ((j+0.5)s, (i+0.5)s) with
-    side 4s."""
+def level_grids(image_hw: tuple[int, int]) -> list[tuple[int, int]]:
+    """(rows, cols) of each level's cell grid, in STRIDES order."""
+    return [(image_hw[0] // s, image_hw[1] // s) for s in STRIDES]
+
+
+def generate_anchors(image_hw: tuple[int, int], index: np.ndarray | None = None) -> np.ndarray:
+    """(k, 4) float64 corner-form anchors at the flat ``index`` positions, each in
+    [0, total), or all of them in flat order when ``index`` is None. Index i of
+    level l, whose cells start at start_l, is cell (row, col) = divmod(i - start_l,
+    cols_l), centred at ((col + 0.5) s, (row + 0.5) s) with side 4s, s = STRIDES[l]."""
     check_grid(image_hw)
-    h, w = image_hw
-    per_level = []
-    for s in STRIDES:
-        gh, gw = h // s, w // s
-        cy = (np.arange(gh, dtype=np.float64) + 0.5) * s
-        cx = (np.arange(gw, dtype=np.float64) + 0.5) * s
-        cxg, cyg = np.meshgrid(cx, cy)  # row-major, x fastest
-        half = ANCHOR_SCALE * s / 2.0
-        boxes = np.stack([cxg - half, cyg - half, cxg + half, cyg + half],
-                         axis=-1).reshape(-1, 4)
-        per_level.append(boxes)
-    return np.concatenate(per_level, axis=0)
+    rows, cols = np.array(level_grids(image_hw)).T
+    ends = np.cumsum(rows * cols)
+    index = np.arange(ends[-1]) if index is None else np.asarray(index, dtype=np.intp)
+    level = np.searchsorted(ends, index, side="right")
+    row, col = np.divmod(index - (ends - rows * cols)[level], cols[level])
+    s = np.asarray(STRIDES, dtype=np.float64)[level]
+    cx, cy, half = (col + 0.5) * s, (row + 0.5) * s, ANCHOR_SCALE * s / 2.0
+    return np.stack([cx - half, cy - half, cx + half, cy + half], axis=-1)
 
 
 def anchor_count(image_hw: tuple[int, int]) -> int:
-    h, w = image_hw
-    return sum((h // s) * (w // s) for s in STRIDES)
+    return sum(rows * cols for rows, cols in level_grids(image_hw))
 
 
 def _center_form(boxes: np.ndarray):

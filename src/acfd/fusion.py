@@ -72,7 +72,7 @@ def _fold(branch: ConvBn) -> tuple[np.ndarray, np.ndarray]:
     """The branch's weight and bias with its batch norm folded in, in float64:
     per output channel W' = W * a and B' = (B - mu) * a + beta."""
     conv = branch.conv
-    a, b = branch.bn.scale_shift()  # b = beta - mu*a; raises on non-positive var+eps
+    a, b = branch.bn.scale_shift  # b = beta - mu*a; raises on non-positive var+eps
     dtype = conv.weight.dtype
     weight = (conv.weight.astype(np.float64) * a.reshape(-1, 1, 1, 1)).astype(dtype)
     bias = np.zeros(conv.out_c, dtype=np.float64) if conv.bias is None \

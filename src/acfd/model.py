@@ -11,7 +11,7 @@ from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
-from .anchors import STRIDES, HeadOutput, HeadSpec, build_head, head_forward
+from .anchors import STRIDES, HeadOutput, HeadSpec, build_head, head_forward, level_grids
 from .backbone import (BackboneConfig, BackboneSpec, Param, StageConfig,
                        backbone_forward, build_backbone, check_grid, random_params,
                        tiny_backbone_config)
@@ -146,10 +146,9 @@ def named_arrays(model: DetectorModel) -> dict[str, np.ndarray]:
 def count_model_macs(model: DetectorModel, image_hw: tuple[int, int]) -> int:
     """Per-image MAC count of every conv/linear in the forward path."""
     check_grid(image_hw)
-    h, w = image_hw
-    at = lambda stride: (h // stride, w // stride)  # input size of a map at stride
-    levels = [at(s) for s in STRIDES]
-    total = sum(block_macs(blk, at(s)) for blk, s in zip(model.backbone.stem, (1, 2, 2)))
+    half = (image_hw[0] // 2, image_hw[1] // 2)  # the input of stem1 and stem2
+    levels = level_grids(image_hw)  # the input of each stage, lateral and head level
+    total = sum(block_macs(b, hw) for b, hw in zip(model.backbone.stem, (image_hw, half, half)))
     for stage, hw in zip(model.backbone.stages, levels):
         for blk in stage:
             total += sum(block_macs(acb, hw) for acb in blk.acbs)

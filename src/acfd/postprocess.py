@@ -68,8 +68,7 @@ def scale_detections(output: HeadOutput, scale_hw: tuple[int, int],
         keep = keep[probs[keep] >= cut]
     # stable sort: highest scores first, ties by anchor index
     order = keep[np.argsort(-probs[keep], kind="stable")[:PER_SCALE_TOP]]
-    anchors = generate_anchors(pad_to_grid(scale_hw))
-    boxes = decode(anchors[order], output.flat_reg()[0][order])
+    boxes = decode(generate_anchors(pad_to_grid(scale_hw), order), output.flat_reg()[0][order])
     (sh, sw), (oh, ow) = scale_hw, source_hw
     boxes[:, 0::2] = boxes[:, 0::2].clip(0, sw)
     boxes[:, 1::2] = boxes[:, 1::2].clip(0, sh)

@@ -93,8 +93,9 @@ class BNSpec:
     def channels(self) -> int:
         return self.mean.shape[0]
 
+    @functools.cached_property
     def scale_shift(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-channel (a, b) with out = a*x + b. Computed in float64."""
+        """Per-channel (a, b) with out = a*x + b, in float64, computed on first use."""
         denom = self.var.astype(np.float64) + self.eps
         if np.any(denom <= 0):
             raise ValueError("var + eps must be positive")
@@ -230,7 +231,7 @@ def batch_norm_infer(x: np.ndarray, bn: BNSpec) -> np.ndarray:
     check_tensor4(x)
     if x.shape[1] != bn.channels:
         raise ShapeError(f"input has {x.shape[1]} channels, bn expects {bn.channels}")
-    a, b = bn.scale_shift()
+    a, b = bn.scale_shift
     x *= a.astype(x.dtype).reshape(1, -1, 1, 1)
     x += b.astype(x.dtype).reshape(1, -1, 1, 1)
     return x

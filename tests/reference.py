@@ -5,10 +5,13 @@
 deliberately naive and share no code with the paths they check, the im2col
 conv and the separable max pool, so they are only suitable for small
 tensors. ``evaluate_ap`` scores detections as single-class average
-precision, for the synthetic-pipeline acceptance test.
+precision, for the synthetic-pipeline acceptance test. ``anchors_by_level``
+builds the anchor array level by level, the oracle of ``generate_anchors``'s
+flat-index map.
 """
 import numpy as np
 
+from acfd.anchors import ANCHOR_SCALE, STRIDES
 from acfd.matching import iou_matrix
 from acfd.tensor_ops import ConvSpec, conv_output_shape
 
@@ -106,3 +109,18 @@ def evaluate_ap(gts: list[np.ndarray], dets: list[tuple[np.ndarray, np.ndarray]]
         mpre[i] = max(mpre[i], mpre[i + 1])
     steps = np.flatnonzero(mrec[1:] != mrec[:-1]) + 1
     return float(np.sum((mrec[steps] - mrec[steps - 1]) * mpre[steps]))
+
+
+def anchors_by_level(image_hw: tuple[int, int]) -> np.ndarray:
+    """Every anchor in flat order, built one level at a time from meshgrids of
+    cell centres: level-major, then row-major with x fastest."""
+    h, w = image_hw
+    per_level = []
+    for s in STRIDES:
+        cy = (np.arange(h // s, dtype=np.float64) + 0.5) * s
+        cx = (np.arange(w // s, dtype=np.float64) + 0.5) * s
+        cxg, cyg = np.meshgrid(cx, cy)
+        half = ANCHOR_SCALE * s / 2.0
+        per_level.append(np.stack([cxg - half, cyg - half, cxg + half, cyg + half],
+                                  axis=-1).reshape(-1, 4))
+    return np.concatenate(per_level, axis=0)

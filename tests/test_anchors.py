@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from acfd.anchors import (DELTA_CLAMP, STRIDES, anchor_count, build_head,
@@ -9,6 +9,7 @@ from acfd.backbone import (build_backbone, backbone_forward, random_params,
                            tiny_backbone_config)
 from acfd.neck import abifpn_forward, build_neck
 from acfd.tensor_ops import ShapeError
+from reference import anchors_by_level
 
 
 def level_slice(image_hw, level):
@@ -63,16 +64,29 @@ class TestGenerateAnchors:
 
 
 @settings(max_examples=30, deadline=None)
-@given(hm=st.integers(1, 8), wm=st.integers(1, 8))
-def test_count_formula_matches_enumeration(hm, wm):
+@given(hm=st.integers(1, 8), wm=st.integers(1, 8),
+       picks=st.lists(st.integers(0, 2**20), max_size=64))
+@example(hm=5, wm=5, picks=[])  # 640x640
+@example(hm=4, wm=6, picks=[9, 9, 2])  # the padded grids of the default test scales
+@example(hm=5, wm=7, picks=[])
+@example(hm=7, wm=9, picks=[])
+def test_count_formula_matches_enumeration(hm, wm, picks):
     h, w = hm * 128, wm * 128
     enumerated = 0
+    firsts, lasts = [], []
     for s in STRIDES:
+        firsts.append(enumerated)
         for _ in range(h // s):
             for _ in range(w // s):
                 enumerated += 1
+        lasts.append(enumerated - 1)
     assert anchor_count((h, w)) == enumerated
-    assert len(generate_anchors((h, w))) == enumerated
+    every = anchors_by_level((h, w))
+    assert generate_anchors((h, w)).tobytes() == every.tobytes()
+    # each level's first and last cell, unsorted, then drawn picks with a repeat
+    index = np.array([*firsts, *lasts[::-1], *picks, *picks[:1]], dtype=np.intp) % enumerated
+    assert generate_anchors((h, w), index).tobytes() == every[index].tobytes()
+    assert generate_anchors((h, w), index[:0]).shape == (0, 4)
 
 
 class TestEncodeDecode:

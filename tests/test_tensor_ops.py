@@ -322,6 +322,14 @@ class TestBatchNorm:
         with pytest.raises(ShapeError):
             batch_norm_infer(np.zeros((1, 3, 2, 2), dtype=np.float32), bn)
 
+    def test_negative_variance_raises_on_every_call(self):
+        # scale_shift is cached once computed; a raise leaves nothing cached
+        bn = BNSpec(mean=np.zeros(2), var=np.array([1.0, -1.0]),
+                    gamma=np.ones(2), beta=np.zeros(2))
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                batch_norm_infer(np.zeros((1, 2, 2, 2), dtype=np.float32), bn)
+
 
 class TestActivations:
     def test_relu_values(self):
