@@ -106,9 +106,13 @@ class HeadOutput:
 
 
 def head_forward(pyramid: list[np.ndarray], head: HeadSpec) -> HeadOutput:
+    """The tower and output convs on each level. Levels are popped from a copy
+    of the list, so of a pyramid passed as a temporary each level dies once the
+    first tower block has read it."""
     out = HeadOutput()
-    for level in pyramid:
-        t = level
+    pyramid = list(pyramid)
+    while pyramid:
+        t = pyramid.pop(0)
         for block in head.tower:
             t = relu(block_forward(t, block))
         out.cls.append(conv2d(t, head.cls_out))

@@ -16,8 +16,8 @@ import numpy as np
 
 from .fusion import Block, Branches, ConvBn, acb_forward, block_conv
 from .tensor_ops import (BNSpec, ConvSpec, ShapeError, check_tensor4,
-                         concat_channels, conv2d, global_avg_pool, linear,
-                         max_pool2d, relu, sigmoid)
+                         concat_channels, conv2d, conv_output_shape, global_avg_pool,
+                         linear, max_pool2d, relu, sigmoid)
 
 POOL_KERNEL = (3, 3)
 POOL_STRIDE = (2, 2)
@@ -120,29 +120,86 @@ def aosa_forward(x: np.ndarray, spec: AosaSpec) -> np.ndarray:
     return out
 
 
+def stem_forward(image: np.ndarray, stem: list[Block]) -> np.ndarray:
+    """The stem's chain of convolutions depth-first over bands of its output
+    rows, so that no map between them is ever whole.
+
+    Each such map lives in a window: from the first row the next conv still
+    reads, rounded down to a whole stride of it, to the last row the band
+    needs. For each band, every conv computes the rows it newly can into its
+    window, or into the output, and before the next band each window's rows
+    still to be read move up to its top. No row is computed twice, and every
+    output element is the same dot product as over whole maps. The bands
+    split the output rows evenly, as few as let the windows take at most
+    BAND_PANEL_BYTES per band, with their halo rows on top.
+    """
+    check_tensor4(image, "image")
+    convs = [block_conv(block) for block in stem]
+    n, _, h, w = image.shape
+    heights, widths = [h], [w]  # map j is the input of conv j, the output of conv j - 1
+    for conv in convs:
+        heights.append(conv_output_shape(heights[-1], conv.kh, conv.stride[0], conv.padding[0]))
+        widths.append(conv_output_shape(widths[-1], conv.kw, conv.stride[1], conv.padding[1]))
+    strides = [conv.stride[0] for conv in convs]
+    # a window holds the product of the later strides of rows per output row
+    row_bytes = sum(n * conv.out_c * widths[j] * image.itemsize * math.prod(strides[j:])
+                    for j, conv in enumerate(convs[:-1], start=1))
+    band = max(1, BAND_PANEL_BYTES // row_bytes)
+    band = -(-heights[-1] // -(-heights[-1] // band))
+    # per band, each map's first new row, end row and window top; the image
+    # and the output are whole
+    plan, done = [], [0] * len(heights)
+    for r0 in range(0, heights[-1], band):
+        end = [h, *[0] * (len(convs) - 1), min(heights[-1], r0 + band)]
+        for j in range(len(convs) - 1, 0, -1):
+            conv = convs[j]
+            end[j] = min(heights[j], (end[j + 1] - 1) * strides[j] - conv.padding[0] + conv.kh)
+        top = [0, *(max(0, (done[j + 1] * strides[j] - convs[j].padding[0]) // strides[j]
+                           * strides[j]) for j in range(1, len(convs))), 0]
+        plan.append((done, end, top))
+        done = end
+    windows = [np.empty((n, conv.out_c, max(e[j] - t[j] for _, e, t in plan), widths[j]),
+                        dtype=image.dtype) for j, conv in enumerate(convs[:-1], start=1)]
+    out = np.empty((n, convs[-1].out_c, heights[-1], widths[-1]), dtype=image.dtype)
+    maps, last = [image, *windows, out], plan[0][2]
+    for done, end, top in plan:
+        for j, (block, s) in enumerate(zip(stem, strides), start=1):
+            keep, shift = done[j] - top[j], top[j] - last[j]
+            if shift and keep > 0:  # the rows still to be read move up to the window's top
+                maps[j][:, :, :keep] = maps[j][:, :, shift:shift + keep]
+            if done[j] < end[j]:
+                relu(block_forward(maps[j - 1][:, :, :end[j - 1] - top[j - 1]], block,
+                                   maps[j][:, :, done[j] - top[j]:end[j] - top[j]],
+                                   done[j] - top[j - 1] // s))
+        last = top
+    return out
+
+
 @dataclass
 class BackboneSpec:
     stem: list[Block]             # strides 2, 1, 2
     stages: list[list[AosaSpec]]  # six stages, one entry per repeat
 
 
-def backbone_forward(image: np.ndarray, spec: BackboneSpec) -> list[np.ndarray]:
-    """Run stem and stages; returns the six stage outputs, stride 4 to 128.
-    Each activation dies at its last use: an image the caller drops after stem0."""
+def backbone_forward(image: np.ndarray, spec: BackboneSpec,
+                     laterals: list[Block]) -> list[np.ndarray]:
+    """Run stem and stages; returns the six stage outputs, stride 4 to 128,
+    each projected by its lateral. Each activation dies at its last use: an
+    image the caller drops once the stem has read it, and each stage output
+    once the next stage's pool and its lateral have."""
     check_tensor4(image, "image")
     check_grid(image.shape[2:])
     held = [image]  # the running activation, popped into the call that reads it
     del image
-    for block in spec.stem:
-        held.append(relu(block_forward(held.pop(), block)))
-    pyramid = []
+    held.append(stem_forward(held.pop(), spec.stem))
+    levels = []
     for idx, stage in enumerate(spec.stages):
-        if idx > 0:
-            held.append(max_pool2d(held.pop(), POOL_KERNEL, POOL_STRIDE, POOL_PAD))
         for block in stage:
             held.append(aosa_forward(held.pop(), block))
-        pyramid.append(held[0])
-    return pyramid
+        if idx + 1 < len(spec.stages):  # the pool first, so that the output dies in its lateral
+            held.insert(0, max_pool2d(held[0], POOL_KERNEL, POOL_STRIDE, POOL_PAD))
+        levels.append(block_forward(held.pop(), laterals[idx]))
+    return levels
 
 
 # ---------------------------------------------------------------------------

@@ -243,8 +243,11 @@ def _detect_one_scale(pixels: np.ndarray, mean: float, m: model.DetectorModel,
     the forward pass, the finiteness check, selection and decoding."""
     sh, sw = scale_hw
     output = model.forward(m, _scale_input(pixels, mean, scale_hw))
-    if not all(np.isfinite(a).all() for a in output.cls + output.reg):
-        raise NonFiniteHeadOutput(f"non-finite head output at scale {sh}x{sw}")
+    for level, pair in enumerate(zip(output.cls, output.reg)):
+        for name, a in zip(("cls", "reg"), pair):
+            if not np.isfinite(a).all():
+                raise NonFiniteHeadOutput(f"non-finite head output at scale {sh}x{sw} "
+                                          f"(level {level} {name})")
     return scale_detections(output, scale_hw, pixels.shape[:2], conf)
 
 
@@ -260,9 +263,9 @@ def _detect_scales(pixels: np.ndarray, mean: float, m: model.DetectorModel,
     Scales that run at once each hold their own live activations and column
     block, which raises peak memory; the frame they share stays uint8, and
     each worker normalizes one channel plane at a time while it resizes.
-    The padded grid goes to the forward as a temporary, so it is freed after
-    the first stem block, like every block input once it is copied and the
-    backbone outputs once the neck has projected them (CPython 3.11+).
+    The padded grid goes to the forward as a temporary, so it is freed once
+    the stem has read it, and every later map at its last use (see
+    `model.forward`; CPython 3.11+).
     One scale, one CPU or an OpenBLAS without the thread-count hook runs
     serially on the BLAS thread count as found.
     """

@@ -89,12 +89,15 @@ def build_model(config: ModelConfig, seed: int = 0) -> DetectorModel:
 
 
 def forward(model: DetectorModel, image: np.ndarray) -> HeadOutput:
-    """Head output of one padded grid; an input passed as a temporary dies after
-    stem0, and the backbone outputs once the neck has projected them."""
+    """Head output of one padded grid. Each map goes to the call that reads it
+    last as a temporary: an input passed as one dies once the stem has read
+    it, each stage output once the next stage's pool and its lateral have,
+    and the neck's and head's inputs once their first reader has run."""
     held = [image]
     del image  # so that the backbone, given held.pop(), holds the only reference
-    features = abifpn_forward(backbone_forward(held.pop(), model.backbone), model.neck)
-    return head_forward(features, model.head)
+    return head_forward(abifpn_forward(backbone_forward(held.pop(), model.backbone,
+                                                        model.neck.laterals), model.neck),
+                        model.head)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import numpy as np
 
 from .backbone import (POOL_KERNEL, POOL_PAD, POOL_STRIDE, Block, Param,
                        block_forward, named_acb, named_conv_bn, sampled)
-from .tensor_ops import ShapeError, max_pool2d, relu, resize_nearest
+from .tensor_ops import COLS_BLOCK_BYTES, ShapeError, max_pool2d, relu, resize_nearest
 
 FUSION_STABILIZER = 1e-4
 
@@ -26,7 +26,15 @@ def normalized_fusion_weights(weights: np.ndarray) -> np.ndarray:
 
 
 def fuse_node(inputs: list[np.ndarray], weights, acb: Block) -> np.ndarray:
-    """Weighted fusion of same-shape maps, then ACB and ReLU."""
+    """Weighted fusion of same-shape maps, then ACB and ReLU.
+
+    The fusion is made in place in the last input, which every caller makes
+    for the node (an upsampled or pooled map): it is scaled by its weight, and
+    the others' weighted sum is added one chunk of channels at a time, of at
+    most COLS_BLOCK_BYTES (4 MiB chunks raised a full-model 512x512 detect's
+    peak by 5 MB). That last add is a single IEEE add, which is commutative,
+    so each element is the same float as the sum in input order.
+    """
     if len(inputs) != len(np.atleast_1d(weights)):
         raise ShapeError(f"{len(inputs)} inputs but {len(weights)} fusion weights")
     shape = inputs[0].shape
@@ -34,12 +42,17 @@ def fuse_node(inputs: list[np.ndarray], weights, acb: Block) -> np.ndarray:
         if t.shape != shape:
             raise ShapeError(f"fuse_node input shapes differ: {t.shape} vs {shape}")
     w = normalized_fusion_weights(weights).astype(inputs[0].dtype)
-    mixed = w[0] * inputs[0]
-    for wi, t in zip(w[1:], inputs[1:]):
-        mixed += wi * t
-    # a map held only by a list passed as a temporary, such as an upsampled or
-    # pooled one, dies here, before the ACB makes the node's output
-    inputs = t = None
+    (first, *others), mixed = inputs[:-1], inputs[-1]
+    mixed *= w[-1]
+    step = max(1, COLS_BLOCK_BYTES // mixed[:, :1].nbytes)
+    for c0 in range(0, shape[1], step):
+        part = w[0] * first[:, c0:c0 + step]
+        for wi, t in zip(w[1:-1], others):
+            part += wi * t[:, c0:c0 + step]
+        mixed[:, c0:c0 + step] += part
+    # a map held only by a list passed as a temporary, such as level 0's
+    # lateral, dies here, before the ACB makes the node's output
+    inputs = first = others = t = part = None
     return relu(block_forward(mixed, acb))
 
 
@@ -69,13 +82,16 @@ class BifpnSpec:
 
 
 def bifpn_layer_forward(levels: list[np.ndarray], layer: BifpnLayerSpec) -> list[np.ndarray]:
+    """One sweep. Each upsampled or pooled map is passed to its node as a
+    temporary, into which the node mixes. Level 0 is read by td node 0 alone,
+    so of levels passed as a temporary it dies once that node has mixed it."""
     n = len(levels)
+    hw = [level.shape[2:] for level in levels]
+    finest, levels = [levels[0]], [None, *levels[1:]]
     td = [None] * n
     td[n - 1] = levels[n - 1]
-    # each upsampled or pooled map is passed as a temporary, so fuse_node frees
-    # it before the node's ACB runs
     for i, node in zip(range(n - 2, -1, -1), layer.td_nodes):
-        td[i] = fuse_node([levels[i], resize_nearest(td[i + 1], levels[i].shape[2:])],
+        td[i] = fuse_node([levels[i] if i else finest.pop(), resize_nearest(td[i + 1], hw[i])],
                           node.weights, node.acb)
     out = [None] * n
     out[0] = td[0]
@@ -87,18 +103,17 @@ def bifpn_layer_forward(levels: list[np.ndarray], layer: BifpnLayerSpec) -> list
     return out
 
 
-def abifpn_forward(pyramid: list[np.ndarray], spec: BifpnSpec) -> list[np.ndarray]:
-    """Project each level to the common width, then run the stacked sweeps."""
-    if len(pyramid) != len(spec.laterals):
-        raise ShapeError(f"expected {len(spec.laterals)} levels, got {len(pyramid)}")
-    # coarsest first, from a copy to pop: of a pyramid passed as a temporary,
-    # each wide map dies once projected to the common width, before the finest
-    # and largest projection is made
-    pyramid = list(pyramid)
-    levels = [block_forward(pyramid.pop(), lat) for lat in reversed(spec.laterals)][::-1]
+def abifpn_forward(levels: list[np.ndarray], spec: BifpnSpec) -> list[np.ndarray]:
+    """Run the stacked sweeps on the six levels that ``backbone_forward``
+    projects with ``spec.laterals``; each sweep is handed its input list as a
+    temporary."""
+    if len(levels) != len(spec.laterals):
+        raise ShapeError(f"expected {len(spec.laterals)} levels, got {len(levels)}")
+    held = [levels]
+    del levels
     for layer in spec.layers:
-        levels = bifpn_layer_forward(levels, layer)
-    return levels
+        held.append(bifpn_layer_forward(held.pop(), layer))
+    return held.pop()
 
 
 def build_neck(in_channels: tuple[int, ...], width: int, repeats: int,

@@ -216,8 +216,10 @@ def conv2d(x: np.ndarray, spec: ConvSpec, out: np.ndarray | None = None,
                 strip[:, :lo - y0] = 0
                 strip[:, lo - y0:hi - y0, pw:pw + w] = x[b, :, lo:hi]
                 strip[:, hi - y0:span] = 0
-                cols[:, :, :, :r] = np.lib.stride_tricks.as_strided(
-                    strip, (c, kh, kw, r, ow), (s_c, s_y, s_x, sh * s_y, sw * s_x))
+                # viewed by np.ndarray: as_strided's per-call interface dict churns
+                # CPython's interned strings, whose table is then rebuilt (1.9 MB)
+                cols[:, :, :, :r] = np.ndarray((c, kh, kw, r, ow), x.dtype, strip, 0,
+                                               (s_c, s_y, s_x, sh * s_y, sw * s_x))
                 np.matmul(weight, cols.reshape(-1, rows * ow)[:, :r * ow],
                           out=out_rows[:, b, r0 * ow:(r0 + r) * ow])
     if spec.bias is not None:

@@ -7,13 +7,19 @@ conv and the separable max pool, so they are only suitable for small
 tensors. ``evaluate_ap`` scores detections as single-class average
 precision, for the synthetic-pipeline acceptance test. ``anchors_by_level``
 builds the anchor array level by level, the oracle of ``generate_anchors``'s
-flat-index map.
+flat-index map. ``identity_laterals`` pass the backbone's stage outputs
+through ``backbone_forward`` unchanged.
 """
 import numpy as np
 
 from acfd.anchors import ANCHOR_SCALE, STRIDES
 from acfd.matching import iou_matrix
 from acfd.tensor_ops import ConvSpec, conv_output_shape
+
+
+def identity_laterals(widths) -> list[ConvSpec]:
+    """1x1 convs that copy each stage output of the given widths exactly."""
+    return [ConvSpec(np.eye(c, dtype=np.float32)[:, :, None, None]) for c in widths]
 
 
 def conv2d_direct(x: np.ndarray, spec: ConvSpec) -> np.ndarray:

@@ -21,7 +21,7 @@ from acfd.model import (build_model, count_model_macs, forward, full_config,
 from acfd.ppm import write_ppm
 from acfd.tensor_ops import batch_norm_infer, conv2d, sigmoid
 from acfd.verify import dam_match_reference, finite_difference, nms_reference
-from reference import evaluate_ap
+from reference import evaluate_ap, identity_laterals
 
 
 def report(number: int, name: str, passed: bool, detail: str = ""):
@@ -41,7 +41,8 @@ def test_02_table_conformance():
     t0 = time.perf_counter()
     model = build_model(full_config(), seed=0)
     image = np.random.default_rng(0).uniform(-0.5, 0.5, (1, 3, 640, 640)).astype(np.float32)
-    pyramid = backbone_forward(image, model.backbone)
+    pyramid = backbone_forward(image, model.backbone,
+                               identity_laterals(model.config.backbone.out_channels))
     elapsed = time.perf_counter() - t0
     expected = [(1, 256, 160, 160), (1, 512, 80, 80), (1, 768, 40, 40),
                 (1, 1024, 20, 20), (1, 128, 10, 10), (1, 128, 5, 5)]

@@ -139,7 +139,7 @@ class TestHeadForward:
         backbone = build_backbone(tiny_backbone_config(width), random_params(rng))
         neck = build_neck((width,) * 6, width, 1, random_params(rng))
         img = rng.normal(size=(1, 3, image, image)).astype(np.float32)
-        return abifpn_forward(backbone_forward(img, backbone), neck), rng
+        return abifpn_forward(backbone_forward(img, backbone, neck.laterals), neck), rng
 
     def test_per_level_shapes(self):
         pyramid, rng = self._pyramid()

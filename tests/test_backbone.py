@@ -8,9 +8,10 @@ from acfd import backbone, fusion, tensor_ops
 from acfd.backbone import (AosaSpec, BackboneConfig, EseSpec, aosa_forward,
                            backbone_forward, block_forward, build_backbone,
                            ese_attention, kaiming_conv, random_acb, random_bn,
-                           random_params, tiny_backbone_config)
+                           random_params, stem_forward, tiny_backbone_config)
 from acfd.fusion import Branches, ConvBn, block_conv, block_macs, fuse_block, map_blocks
 from acfd.tensor_ops import BNSpec, ConvSpec, ShapeError, concat_channels, relu
+from reference import identity_laterals
 
 
 def identity_bn(c):
@@ -227,16 +228,7 @@ class TestAosaForward:
         n, h, w = 2, 40, 48
         x = rng.normal(size=(n, 16, h, w)).astype(np.float32)
         monkeypatch.setattr(backbone, "BAND_PANEL_BYTES", band_budget(band, x, spec))
-        rows, macs = {}, []
-        conv2d = tensor_ops.conv2d
-
-        def counted(x, spec, out=None, row0=None):
-            y = conv2d(x, spec, out, row0)
-            rows[id(spec.weight)] = rows.get(id(spec.weight), 0) + y.shape[2]
-            macs.append(y.shape[0] * y.shape[2] * y.shape[3] * spec.weight.size)
-            return y
-        monkeypatch.setattr(backbone, "conv2d", counted)
-        monkeypatch.setattr(fusion, "conv2d", counted)
+        rows, macs = counted_convs(monkeypatch)
         aosa_forward(x, spec)
         blocks = [*spec.acbs, spec.projection]
         convs = [conv for block in blocks for conv in (
@@ -246,12 +238,119 @@ class TestAosaForward:
         assert sum(macs) == n * sum(block_macs(block, (h, w)) for block in blocks)
 
 
+def random_stem(rng, widths, fused):
+    """A stem of the given widths, its blocks folded when ``fused``."""
+    config = BackboneConfig(stem_channels=widths, stages=tiny_backbone_config(8).stages)
+    stem = build_backbone(config, random_params(rng)).stem
+    return [fuse_block(block) for block in stem] if fused else stem
+
+
+def whole_map_stem(x, stem):
+    for block in stem:
+        x = relu(block_forward(x, block))
+    return x
+
+
+# the full stem widths and the tiny ones, each on a grid it runs in several bands
+STEMS = [((64, 64, 128), (256, 384)), ((8, 8, 8), (896, 1152))]
+
+
+def counted_convs(monkeypatch):
+    """Patches conv2d where blocks call it; returns {weight id: output rows} and
+    the MACs of every call."""
+    rows, macs = {}, []
+    conv2d = tensor_ops.conv2d
+
+    def counted(x, spec, out=None, row0=None):
+        y = conv2d(x, spec, out, row0)
+        rows[id(spec.weight)] = rows.get(id(spec.weight), 0) + y.shape[2]
+        macs.append(y.shape[0] * y.shape[2] * y.shape[3] * spec.weight.size)
+        return y
+    monkeypatch.setattr(backbone, "conv2d", counted)
+    monkeypatch.setattr(fusion, "conv2d", counted)
+    return rows, macs
+
+
+class TestStem:
+    @pytest.mark.parametrize("fused", [True, False])
+    @pytest.mark.parametrize("widths,hw", STEMS)
+    def test_bit_identical_to_whole_maps_at_the_shipped_budget(self, widths, hw, fused,
+                                                                monkeypatch):
+        rng = np.random.default_rng(20)
+        stem = random_stem(rng, widths, fused)
+        x = rng.uniform(-1, 1, (1, 3, *hw)).astype(np.float32)
+        want = whole_map_stem(x, stem)
+        calls = []
+        conv2d = tensor_ops.conv2d
+
+        def counted(x, spec, out=None, row0=None):
+            calls.append(id(spec.weight))
+            return conv2d(x, spec, out, row0)
+        monkeypatch.setattr(backbone, "conv2d", counted)
+        monkeypatch.setattr(fusion, "conv2d", counted)
+        got = stem_forward(x, stem)
+        assert calls.count(calls[-1]) > 1  # the last conv ran in several bands
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("fused", [True, False])
+    @pytest.mark.parametrize("widths,hw", STEMS)
+    def test_one_row_bands_match_whole_maps(self, widths, hw, fused, monkeypatch):
+        rng = np.random.default_rng(21)
+        stem = random_stem(rng, widths, fused)
+        x = rng.uniform(-1, 1, (1, 3, hw[0] // 2, hw[1] // 2)).astype(np.float32)
+        monkeypatch.setattr(backbone, "BAND_PANEL_BYTES", 1)
+        np.testing.assert_allclose(stem_forward(x, stem), whole_map_stem(x, stem),
+                                   rtol=1e-6, atol=1e-6)
+
+    @pytest.mark.parametrize("budget", [1, None])
+    @pytest.mark.parametrize("fused", [True, False])
+    def test_each_conv_computes_each_row_once(self, budget, fused, monkeypatch):
+        # each stem conv's output rows sum to its map height, and the conv
+        # MACs are the blocks' whole-map count, at one-row bands and at the
+        # shipped budget
+        rng = np.random.default_rng(22)
+        stem = random_stem(rng, (64, 64, 128), fused)
+        n, h, w = 2, 256, 128
+        x = rng.uniform(-1, 1, (n, 3, h, w)).astype(np.float32)
+        if budget:
+            monkeypatch.setattr(backbone, "BAND_PANEL_BYTES", budget)
+        rows, macs = counted_convs(monkeypatch)
+        stem_forward(x, stem)
+        sizes = [(h, w), (h // 2, w // 2), (h // 2, w // 2)]  # the input of each block
+        for block, (bh, _) in zip(stem, sizes):
+            convs = [block] if isinstance(block, ConvSpec) else [b.conv for b in block.branches]
+            out_h = bh // block_conv(block).stride[0]
+            assert [rows[id(conv.weight)] for conv in convs] == [out_h] * len(convs)
+        assert len(rows) == len(stem)
+        assert sum(macs) == n * sum(block_macs(b, hw) for b, hw in zip(stem, sizes))
+
+    @pytest.mark.parametrize("widths,hw", STEMS)
+    def test_peak_holds_no_whole_stem_map(self, widths, hw):
+        # the peak is the output, the two windows over a band with their halo
+        # rows and one column block; a whole stem0 or stem1 map does not fit
+        rng = np.random.default_rng(23)
+        stem = random_stem(rng, widths, fused=True)
+        x = rng.uniform(-1, 1, (1, 3, *hw)).astype(np.float32)
+        c0, c1, c2 = widths
+        half = (c0 + c1) * (hw[1] // 2) * x.itemsize  # one row of both windows
+        whole = c0 * (hw[0] // 2) * (hw[1] // 2) * x.itemsize
+        out = c2 * (hw[0] // 4) * (hw[1] // 4) * x.itemsize
+        tracemalloc.start()
+        try:
+            stem_forward(x, stem)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bound = out + backbone.BAND_PANEL_BYTES + 2 * half + tensor_ops.COLS_BLOCK_BYTES + 2**20
+        assert peak < bound < out + whole + tensor_ops.COLS_BLOCK_BYTES
+
+
 class TestBackboneForward:
     def test_tiny_smoke_six_levels(self):
         rng = np.random.default_rng(5)
         spec = build_backbone(tiny_backbone_config(8), random_params(rng))
         img = rng.normal(size=(1, 3, 128, 128)).astype(np.float32)
-        pyramid = backbone_forward(img, spec)
+        pyramid = backbone_forward(img, spec, identity_laterals((8,) * 6))
         assert len(pyramid) == 6
         assert [p.shape[2] for p in pyramid] == [32, 16, 8, 4, 2, 1]
 
@@ -259,7 +358,7 @@ class TestBackboneForward:
         rng = np.random.default_rng(6)
         spec = build_backbone(tiny_backbone_config(8), random_params(rng))
         img = rng.normal(size=(1, 3, 256, 256)).astype(np.float32)
-        pyramid = backbone_forward(img, spec)
+        pyramid = backbone_forward(img, spec, identity_laterals((8,) * 6))
         assert [p.shape[2] for p in pyramid] == [64, 32, 16, 8, 4, 2]
         assert [p.shape[3] for p in pyramid] == [64, 32, 16, 8, 4, 2]
 
@@ -267,7 +366,8 @@ class TestBackboneForward:
         rng = np.random.default_rng(7)
         spec = build_backbone(tiny_backbone_config(8), random_params(rng))
         with pytest.raises(ShapeError):
-            backbone_forward(np.zeros((1, 3, 130, 128), dtype=np.float32), spec)
+            backbone_forward(np.zeros((1, 3, 130, 128), dtype=np.float32), spec,
+                             identity_laterals((8,) * 6))
 
     @pytest.mark.skipif(sys.version_info < (3, 11), reason="CPython before 3.11 keeps "
                         "a temporary argument on the caller's stack until the call returns")
@@ -278,7 +378,7 @@ class TestBackboneForward:
         # output, one panel of the 768 channels over a band, the five rows
         # ahead of it and one halo row above it, and one column block, where a
         # whole concat buffer would hold 768 channels. The input dies once
-        # stem0 has read it
+        # the stem has read it
         rng = np.random.default_rng(11)
         config = BackboneConfig(stages=(BackboneConfig().stages[0],
                                         *tiny_backbone_config(8).stages[1:]))
@@ -298,7 +398,8 @@ class TestBackboneForward:
         tracemalloc.start()
         try:
             pyramid = backbone_forward(
-                rng.standard_normal((1, 3, 512, 512), dtype=np.float32), spec)
+                rng.standard_normal((1, 3, 512, 512), dtype=np.float32), spec,
+                identity_laterals(config.out_channels))
         finally:
             tracemalloc.stop()
         assert pyramid[0].shape == (1, 256, 128, 128)
@@ -323,5 +424,6 @@ def test_fully_fused_backbone_drift_within_budget():
     spec = build_backbone(tiny_backbone_config(8), random_params(rng))
     fused = map_blocks(spec, fuse_block)
     img = rng.uniform(-1, 1, size=(1, 3, 128, 128)).astype(np.float32)
-    for a, b in zip(backbone_forward(img, spec), backbone_forward(img, fused)):
+    laterals = identity_laterals((8,) * 6)
+    for a, b in zip(backbone_forward(img, spec, laterals), backbone_forward(img, fused, laterals)):
         assert np.abs(a - b).max() <= 1e-3

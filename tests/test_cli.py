@@ -461,7 +461,23 @@ class TestDetect:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (f"bad container {tiny_container}: non-finite head output "
-                                "at scale 256x256\n")
+                                "at scale 256x256 (level 0 cls)\n")
+
+    def test_non_finite_output_names_its_level_and_output(self, tiny_container, monkeypatch):
+        # the first non-finite output in level order, cls before reg
+        forward = model.forward
+
+        def inf_forward(m, image):
+            output = forward(m, image)
+            output.reg[2][0, 1, 0, 0] = np.inf
+            output.cls[3][0, 0, 0, 0] = np.nan
+            return output
+        monkeypatch.setattr(model, "forward", inf_forward)
+        pixels = np.zeros((96, 128, 3), dtype=np.uint8)
+        with pytest.raises(cli.NonFiniteHeadOutput,
+                           match=r"^non-finite head output at scale 128x128 \(level 2 reg\)$"):
+            cli._detect_one_scale(pixels, 0.5, container.load_file(tiny_container), (128, 128),
+                                  cli.CONF_THRESHOLD)
 
     def test_missing_blas_hook_runs_serially(self, ppm_image, tiny_container, tmp_path,
                                              monkeypatch, capsys):

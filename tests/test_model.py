@@ -1,12 +1,13 @@
 import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from acfd import container
+from acfd import backbone, container, model, neck
 from acfd.anchors import anchor_count
 from acfd.backbone import BackboneConfig, StageConfig, random_params
 from acfd.fusion import map_blocks
@@ -46,9 +47,10 @@ def test_forward_640_covers_all_34125_anchors(tiny_model):
 
 @pytest.mark.skipif(sys.version_info < (3, 11), reason="CPython before 3.11 keeps a "
                     "temporary argument on the caller's stack until the call returns")
-def test_forward_frees_a_temporary_input_after_the_first_stem_block(tiny_model):
-    # the peak is at stem0: input, its output and one column block; holding the
-    # input any longer adds it to stem1's peak of two stem maps and a block
+def test_forward_frees_a_temporary_input_after_the_stem(tiny_model):
+    # the peak is in the stem: the input, the stem output, the windows of the
+    # maps between the stem's convs and one column block; holding the input
+    # any longer adds it to a later peak
     hw = (512, 768)
     stem0 = 8 * (hw[0] // 2) * (hw[1] // 2) * 4
     image = 3 * hw[0] * hw[1] * 4
@@ -61,6 +63,75 @@ def test_forward_frees_a_temporary_input_after_the_first_stem_block(tiny_model):
         tracemalloc.stop()
     assert out.flat_cls().shape == (1, anchor_count(hw))
     assert peak < image + stem0 + COLS_BLOCK_BYTES + 2**20
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="CPython before 3.11 keeps a "
+                    "temporary argument on the caller's stack until the call returns")
+def test_each_map_dies_at_its_last_use(monkeypatch):
+    # the full fused model at 512x512 on an input passed as a temporary. Every
+    # wrapper hands its first argument on as a temporary too, as its caller did
+    m = _build(full_config(), random_params(np.random.default_rng(0)), fused=True)
+    peaks = []  # (phase, tracemalloc peak while it ran)
+
+    def phase(module, name):
+        op = getattr(module, name)
+
+        def call(x, spec):
+            held = [x]
+            del x
+            tracemalloc.reset_peak()
+            y = op(held.pop(), spec)
+            peaks.append((name, tracemalloc.get_traced_memory()[1]))
+            return y
+        monkeypatch.setattr(module, name, call)
+    for module, name in ((backbone, "stem_forward"), (backbone, "aosa_forward"),
+                         (model, "abifpn_forward"), (model, "head_forward")):
+        phase(module, name)
+    max_pool2d = backbone.max_pool2d
+
+    def pool(x, kernel, stride, padding):
+        tracemalloc.reset_peak()
+        y = max_pool2d(x, kernel, stride, padding)
+        peaks.append(("max_pool2d", tracemalloc.get_traced_memory()[1]))
+        return y
+    monkeypatch.setattr(backbone, "max_pool2d", pool)
+    # each stage output is dead once its lateral has run; level 0's lateral
+    # map is dead when td node 0's block runs
+    laterals, td0 = m.neck.laterals, m.neck.layers[0].td_nodes[-1].acb
+    outputs_dead, lateral_outputs, level0_dead = [], [], []
+    block_forward = backbone.block_forward
+
+    def lateral(x, block, out=None, row0=None):
+        ref = weakref.ref(x)
+        held = [x]
+        del x
+        y = block_forward(held.pop(), block, out, row0)
+        if any(block is lat for lat in laterals):
+            outputs_dead.append(ref() is None)
+            lateral_outputs.append(weakref.ref(y))
+        return y
+    monkeypatch.setattr(backbone, "block_forward", lateral)
+
+    def node(x, block):
+        if block is td0:
+            level0_dead.append(lateral_outputs[0]() is None)
+        return block_forward(x, block)
+    monkeypatch.setattr(neck, "block_forward", node)
+    tracemalloc.start()
+    try:
+        out = forward(m, np.random.default_rng(1).uniform(
+            -0.5, 0.5, (1, 3, 512, 512)).astype(np.float32))
+    finally:
+        tracemalloc.stop()
+    assert out.flat_cls().shape == (1, anchor_count((512, 512)))
+    assert [name for name, _ in peaks].count("aosa_forward") == 8
+    # stage 1 holds the stem output and its own whole output: every other
+    # phase peaks below it
+    stage1 = peaks[1]
+    assert stage1[0] == "aosa_forward"
+    assert [name for name, peak in peaks if peak >= stage1[1]] == ["aosa_forward"]
+    assert outputs_dead == [True] * 6
+    assert level0_dead == [True]
 
 
 def test_forward_leaves_an_input_its_caller_holds_unchanged(tiny_model):

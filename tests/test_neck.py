@@ -85,9 +85,9 @@ class TestAbifpnForward:
     def test_shape_contract(self):
         rng = np.random.default_rng(3)
         backbone = build_backbone(tiny_backbone_config(8), random_params(rng))
-        pyramid = backbone_forward(rng.normal(size=(1, 3, 128, 128)).astype(np.float32),
-                                   backbone)
         neck = build_neck((8,) * 6, width=8, repeats=1, param=random_params(rng))
+        pyramid = backbone_forward(rng.normal(size=(1, 3, 128, 128)).astype(np.float32),
+                                   backbone, neck.laterals)
         out = abifpn_forward(pyramid, neck)
         assert len(out) == 6
         for level_in, level_out in zip(pyramid, out):
@@ -107,16 +107,19 @@ class TestAbifpnForward:
             np.testing.assert_array_equal(a, b)
 
     def test_zero_laterals_give_finite_constants(self):
+        # the laterals run in the backbone, each on its stage's output
         rng = np.random.default_rng(6)
+        backbone = build_backbone(tiny_backbone_config(8), random_params(rng))
         neck = build_neck((8,) * 6, width=8, repeats=1, param=random_params(rng))
         for lat in neck.laterals:
             (branch,) = lat.branches
             branch.conv.weight = np.zeros_like(branch.conv.weight)
-        out = abifpn_forward(tiny_pyramid(np.random.default_rng(7)), neck)
-        other = abifpn_forward(tiny_pyramid(np.random.default_rng(8)), neck)
+        out, other = (abifpn_forward(backbone_forward(
+            np.random.default_rng(seed).normal(size=(1, 3, 128, 128)).astype(np.float32),
+            backbone, neck.laterals), neck) for seed in (7, 8))
         for level, level_other in zip(out, other):
             assert np.all(np.isfinite(level))
-            # beta-driven: nothing from the input pyramid survives
+            # beta-driven: nothing from the input image survives
             np.testing.assert_array_equal(level, level_other)
 
     def test_level_count_checked(self):
@@ -146,8 +149,9 @@ class TestAbifpnForward:
     @pytest.mark.skipif(sys.version_info < (3, 11), reason="CPython before 3.11 keeps "
                         "a temporary argument on the caller's stack until the call returns")
     def test_resampled_maps_die_before_the_node_acb_runs(self, monkeypatch):
-        # every upsampled (top-down) and pooled (bottom-up) map is freed once its
-        # node has mixed it, before the node's ACB makes its output
+        # each node mixes into its upsampled (top-down) or pooled (bottom-up)
+        # map, so when the node's ACB runs that mix is its input, and no other
+        # resampled map is alive
         rng = np.random.default_rng(12)
         neck = build_neck((8,) * 6, width=8, repeats=1, param=random_params(rng))
         made = []
@@ -160,13 +164,14 @@ class TestAbifpnForward:
             return call
         monkeypatch.setattr(neck_module, "resize_nearest", tracked(tensor_ops.resize_nearest))
         monkeypatch.setattr(neck_module, "max_pool2d", tracked(tensor_ops.max_pool2d))
-        alive = []  # resampled maps alive as each block runs: 6 laterals, then 10 nodes
+        others = []  # resampled maps alive, other than the block input, as each node's ACB runs
         block_forward = neck_module.block_forward
 
         def counted(x, block):
-            alive.append(sum(ref() is not None for ref in made))
+            assert any(ref() is x for ref in made)
+            others.append(sum(ref() is not None and ref() is not x for ref in made))
             return block_forward(x, block)
         monkeypatch.setattr(neck_module, "block_forward", counted)
         abifpn_forward(tiny_pyramid(rng), neck)
         assert len(made) == 10
-        assert alive == [0] * 16
+        assert others == [0] * 10
