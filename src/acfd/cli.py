@@ -2,13 +2,15 @@
 
 Exit codes are a frozen contract: 0 success, 1 I/O failure, 2 usage error,
 3 verification failure. All subcommands are deterministic given their
-inputs and --seed, apart from bench wall-clock numbers.
+inputs and --seed, apart from bench wall-clock numbers. detect runs every
+GEMM on one OpenBLAS thread, and one Python thread per usable CPU over its
+scales, or a single scale's conv row blocks, and over the container read;
+its output is the same bytes at every CPU count.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import statistics
 import sys
 import time
@@ -24,7 +26,8 @@ from .matching import dam_match
 from .postprocess import (CONF_THRESHOLD, NMS_IOU, TEST_SCALES, pad_to_grid, postprocess,
                           scale_detections)
 from .ppm import read_ppm
-from .tensor_ops import bilinear_resize, openblas_threads
+from .tensor_ops import bilinear_resize, openblas_threads, row_workers
+from .tensor_ops import usable_cpus as _usable_cpus
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -35,12 +38,6 @@ EXIT_VERIFY = 3
 # Largest side of any HxW argument: a 4096x4096 test scale is already a
 # 200 MB float32 grid, and concurrent scales each hold their own
 MAX_SIDE = 4096
-
-
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 # argparse types, of ASCII only, with no "_" or surrounding space, all of which int()
@@ -257,34 +254,39 @@ def _detect_scales(pixels: np.ndarray, mean: float, m: model.DetectorModel,
     the order of `scales`; the first scale in that order whose head output is
     not finite raises.
 
-    Several scales run at once, one per usable CPU, each on a one-thread
-    OpenBLAS: a second BLAS thread spins between GEMMs, so one scale at a
-    time on two threads was slower for the tiny and the full model alike.
-    Scales that run at once each hold their own live activations and column
-    block, which raises peak memory; the frame they share stays uint8, and
-    each worker normalizes one channel plane at a time while it resizes.
+    Every GEMM runs on a one-thread OpenBLAS, and Python threads, one per
+    usable CPU, supply the parallelism: a second BLAS thread spins between
+    GEMMs, and for over 0.1 s after the last one, on a core another thread
+    could use. Several scales run at once, largest padded grid first, each on
+    one thread. One scale runs on the calling thread, and each of its convs
+    splits its row blocks over the usable CPUs (`tensor_ops.row_workers`);
+    the scale workers never see that pool. Scales that run at once each hold
+    their own live activations and column block, which raises peak memory; a
+    row worker holds one column block. The frame they share stays uint8, and
+    each scale normalizes one channel plane at a time while it resizes.
     The padded grid goes to the forward as a temporary, so it is freed once
     the stem has read it, and every later map at its last use (see
     `model.forward`; CPython 3.11+).
-    One scale, one CPU or an OpenBLAS without the thread-count hook runs
-    serially on the BLAS thread count as found.
+    An OpenBLAS without the thread-count hook runs everything serially on
+    the BLAS thread count as found.
     """
-    workers = min(len(scales), _usable_cpus())
-    blas = None
-    if workers > 1:
-        try:
-            blas = openblas_threads()
-        except OSError as exc:
-            print(f"running scales serially: no OpenBLAS thread hook ({exc})",
+    cpus = _usable_cpus()
+    try:
+        blas = openblas_threads()
+    except OSError as exc:
+        if cpus > 1:
+            print(f"running detect serially: no OpenBLAS thread hook ({exc})",
                   file=sys.stderr)
-    if blas is None:
         return [_detect_one_scale(pixels, mean, m, s, conf) for s in scales]
-    # largest padded grid first, so the longest forward starts at once
-    order = sorted(range(len(scales)), key=lambda i: -np.prod(pad_to_grid(scales[i])))
     found = blas.get()
     blas.set(1)
     try:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        if len(scales) == 1:
+            with row_workers(cpus):
+                return [_detect_one_scale(pixels, mean, m, scales[0], conf)]
+        # largest padded grid first, so the longest forward starts at once
+        order = sorted(range(len(scales)), key=lambda i: -np.prod(pad_to_grid(scales[i])))
+        with ThreadPoolExecutor(max_workers=min(len(scales), cpus)) as pool:
             futures = {i: pool.submit(_detect_one_scale, pixels, mean, m, scales[i], conf)
                        for i in order}
         return [futures[i].result() for i in range(len(scales))]

@@ -14,14 +14,19 @@ from __future__ import annotations
 import io
 import json
 import math
+import os
 import struct
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from .model import DetectorModel, ModelConfig, _build, named_arrays
+from .tensor_ops import run_parts, usable_cpus
 
 MAGIC = b"ACFD\0"
 FORMAT_VERSION = 1
+# Fewest payload bytes per read thread, so the tiny containers are read in one part
+PART_BYTES = 16 << 20
 
 
 class ContainerFormatError(ValueError):
@@ -89,9 +94,10 @@ def _from_payload(header: dict, payload: np.ndarray) -> DetectorModel:
     return model
 
 
-def _load(fh) -> DetectorModel:
-    """Check magic, header length and format version, then read the payload
-    straight into one fresh buffer."""
+def _read_header(fh) -> dict:
+    """The header of an open container, once magic, header length, format
+    version and the types of its top fields check out; fh is left at the
+    payload's start."""
     if fh.read(len(MAGIC)) != MAGIC:
         raise ContainerFormatError("bad magic; not a weight container")
     raw = fh.read(8)
@@ -114,14 +120,15 @@ def _load(fh) -> DetectorModel:
     for key, kind in (("entries", list), ("config", dict), ("fused", bool)):
         if not isinstance(header.get(key), kind):
             raise ContainerCorruptionError(f"header field {key!r} is not a {kind.__name__}")
-    payload = np.empty(size - fh.tell(), np.uint8)
-    if fh.readinto(payload) != len(payload):
-        raise ContainerCorruptionError("payload changed while reading")
-    return _from_payload(header, payload)
+    return header
 
 
 def load(blob: bytes) -> DetectorModel:
-    return _load(io.BytesIO(blob))
+    """The model of a container held in memory; its payload is copied into one
+    fresh buffer."""
+    fh = io.BytesIO(blob)
+    header = _read_header(fh)
+    return _from_payload(header, np.frombuffer(blob, np.uint8)[fh.tell():].copy())
 
 
 def save_file(model: DetectorModel, path) -> None:
@@ -129,6 +136,23 @@ def save_file(model: DetectorModel, path) -> None:
         fh.write(save(model))
 
 
-def load_file(path) -> DetectorModel:
+def load_file(path, parts: int | None = None) -> DetectorModel:
+    """The model of the container file at `path`. Its payload is read into one
+    fresh buffer in `parts` contiguous parts at once with os.preadv; by default
+    one part per usable CPU, each at least PART_BYTES."""
     with open(path, "rb") as fh:
-        return _load(fh)
+        header = _read_header(fh)
+        start = fh.tell()
+        payload = np.empty(fh.seek(0, io.SEEK_END) - start, np.uint8)
+        if parts is None:
+            parts = max(1, min(usable_cpus(), len(payload) // PART_BYTES))
+
+        def read(lo, hi):
+            while lo < hi:  # one preadv moves at most about 2 GiB
+                got = os.preadv(fh.fileno(), [payload[lo:hi]], start + lo)
+                if not got:
+                    raise ContainerCorruptionError("payload changed while reading")
+                lo += got
+        with ThreadPoolExecutor(max_workers=parts) as pool:
+            run_parts(read, len(payload), parts, pool)
+    return _from_payload(header, payload)

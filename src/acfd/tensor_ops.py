@@ -5,12 +5,17 @@ layout, float32 by default, and preserves the input dtype so the same code
 path serves the float64 verification mode. ``relu`` and ``batch_norm_infer``
 overwrite their input and return it; ``conv2d`` and ``bilinear_resize`` write
 into ``out`` when given one, such as a channel slice of a concat buffer from
-``concat_channels``; every other op returns a new array.
+``concat_channels``; every other op returns a new array. ``conv2d`` splits
+its row blocks over the threads of ``row_workers`` when the caller runs in one.
 """
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
+import os
+from concurrent.futures import Executor, ThreadPoolExecutor
+from contextvars import ContextVar
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -106,9 +111,56 @@ class BNSpec:
 
 # Bytes of im2col columns, with the padded input rows they are copied from, that
 # conv2d holds per GEMM: whole output rows, at least one.
-# Each concurrently running scale holds one block, and 2 MiB fits it in the 2 MiB
-# L2 of the core its worker runs on.
+# Each scale worker or row worker holds one block, and 2 MiB fits it in the 2 MiB
+# L2 of the core it runs on.
 COLS_BLOCK_BYTES = 2 << 20
+
+# Fewest MACs of a conv2d per row worker: a smaller part gains less than the
+# hand-off to a thread costs, and a GEMM below about 1e6 MACs may go down an
+# OpenBLAS small-matrix kernel whose sums differ from those of the whole GEMM.
+PART_MACS = 1 << 22
+
+# (executor, row workers) of the row_workers context conv2d runs in
+_row_pool: ContextVar[tuple[Executor | None, int]] = ContextVar("row_pool",
+                                                                default=(None, 1))
+
+
+def usable_cpus() -> int:
+    """CPUs in the process's affinity set, which `taskset` caps."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def run_parts(part: Callable[[int, int], None], total: int, parts: int,
+              pool: Executor | None) -> None:
+    """part(lo, hi) over `parts` contiguous ranges of range(total) at once: the
+    first on the calling thread, the others in `pool`, which may be None for
+    one part. Returns once every part has ended, raising the first error in
+    range order."""
+    cuts = [total * i // parts for i in range(parts + 1)]
+    futures = [pool.submit(part, lo, hi) for lo, hi in zip(cuts[1:-1], cuts[2:])]
+    try:
+        part(cuts[0], cuts[1])
+    finally:
+        for future in futures:
+            future.exception()  # waits for the part to end
+    for future in futures:
+        future.result()
+
+
+@contextlib.contextmanager
+def row_workers(count: int):
+    """Lets each conv2d this thread calls in the context run its row blocks as
+    up to `count` parts at once, on this thread and up to count - 1 pool
+    threads, which start on first use and are joined on exit. Threads started
+    in the context do not see the pool: their convs run on the calling thread."""
+    with ThreadPoolExecutor(max_workers=count) as pool:
+        token = _row_pool.set((pool, count))
+        try:
+            yield
+        finally:
+            _row_pool.reset(token)
 
 
 class BlasThreads(NamedTuple):
@@ -173,6 +225,13 @@ def conv2d(x: np.ndarray, spec: ConvSpec, out: np.ndarray | None = None,
     With ``row0``, x is a cut of a taller map: output row i reads input rows
     from (row0 + i) * sh - ph, counted from x's first row, rows outside x are
     padding, and the output height is out's, which must then be given.
+
+    Inside ``row_workers``, contiguous ranges of the blocks, or of the 1x1
+    path's rows, run at once, each range about PART_MACS or more. A block is
+    the same GEMM on the same operands whoever runs it, and OpenBLAS sums each
+    output element of a GEMM this large the same way over a range of its
+    columns as over all of them, so the bytes do not depend on the worker
+    count.
     """
     oh, ow = _check_conv_dims(x, spec)
     if row0 is not None:
@@ -195,20 +254,31 @@ def conv2d(x: np.ndarray, spec: ConvSpec, out: np.ndarray | None = None,
     if not np.may_share_memory(out_rows, out):  # a copy: the writes would be lost
         raise ShapeError(f"out with strides {out.strides} has no (out_c, n, oh*ow) view")
     if (kh, kw, sh, sw, ph, pw) == (1, 1, 1, 1, 0, 0):
-        # each image's rows are the column matrix (a view when contiguous per channel)
-        for b in range(n):
-            np.matmul(weight, x[b, :, row0:row0 + oh].reshape(c, oh * w),
-                      out=out_rows[:, b])
+        # a unit is one output row, or a whole image with one output channel:
+        # numpy runs that as a matrix-vector product, whose sums move with its width
+        rows = oh if spec.out_c == 1 else 1
+        per = oh // rows
+
+        def part(u0, u1):
+            # each image's rows in the range are the column matrix (a view when
+            # contiguous per channel)
+            for b in range(u0 // per, (u1 - 1) // per + 1):
+                lo, hi = max(u0 - b * per, 0) * rows, min((u1 - b * per) * rows, oh)
+                np.matmul(weight, x[b, :, row0 + lo:row0 + hi].reshape(c, (hi - lo) * w),
+                          out=out_rows[:, b, lo * w:hi * w])
     else:
         wp = w + 2 * pw  # the budget holds r rows of columns and (r - 1)*sh + kh strip rows
         rows = max(1, min(oh, (COLS_BLOCK_BYTES // (c * x.itemsize) - (kh - sh) * wp)
                           // (kh * kw * ow + sh * wp)))
-        cols = np.empty((c, kh, kw, rows, ow), dtype=x.dtype)
-        # zeroed once: its pad columns are never written
-        strip = np.zeros((c, (rows - 1) * sh + kh, wp), dtype=x.dtype)
-        s_c, s_y, s_x = strip.strides
-        for b in range(n):
-            for r0 in range(0, oh, rows):
+        per = -(-oh // rows)
+
+        def part(u0, u1):  # a unit is one block
+            cols = np.empty((c, kh, kw, rows, ow), dtype=x.dtype)
+            # zeroed once: its pad columns are never written
+            strip = np.zeros((c, (rows - 1) * sh + kh, wp), dtype=x.dtype)
+            s_c, s_y, s_x = strip.strides
+            for u in range(u0, u1):
+                b, r0 = u // per, u % per * rows
                 r = min(rows, oh - r0)
                 y0, span = (row0 + r0) * sh - ph, (r - 1) * sh + kh
                 lo = max(y0, 0)
@@ -222,6 +292,9 @@ def conv2d(x: np.ndarray, spec: ConvSpec, out: np.ndarray | None = None,
                                                (s_c, s_y, s_x, sh * s_y, sw * s_x))
                 np.matmul(weight, cols.reshape(-1, rows * ow)[:, :r * ow],
                           out=out_rows[:, b, r0 * ow:(r0 + r) * ow])
+    pool, workers = _row_pool.get()
+    macs = n * oh * ow * weight.size
+    run_parts(part, n * per, max(1, min(workers, n * per, macs // PART_MACS)), pool)
     if spec.bias is not None:
         out += spec.bias[:, None, None]
     return out

@@ -18,7 +18,7 @@ from acfd.backbone import StageConfig
 from acfd.cli import build_parser, main
 from acfd.fusion import fuse_block
 from acfd.matching import dam_match
-from acfd.model import build_model, fuse_model, tiny_config
+from acfd.model import build_model, full_config, fuse_model, tiny_config
 from acfd.ppm import write_ppm
 
 
@@ -67,6 +67,13 @@ def tiny_container(tmp_path_factory):
 def fused_container(tmp_path_factory, tiny_container):
     path = tmp_path_factory.mktemp("weights") / "tiny-fused.acfd"
     container.save_file(fuse_model(container.load_file(tiny_container)), path)
+    return path
+
+
+@pytest.fixture(scope="module")
+def full_fused_container(tmp_path_factory):
+    path = tmp_path_factory.mktemp("weights") / "full-fused.acfd"
+    container.save_file(fuse_model(build_model(full_config(), seed=1)), path)
     return path
 
 
@@ -397,32 +404,55 @@ class TestDetect:
 
     def test_blas_thread_count_is_restored(self, ppm_image, tiny_container, blas,
                                            monkeypatch, capsys):
+        # one OpenBLAS thread for every forward, of several scales or of one,
+        # and the count as found afterwards, also after a forward that raises
         if blas is None:
             pytest.skip("numpy's OpenBLAS has no thread hook")
-        args = ["detect", str(ppm_image), str(tiny_container),
-                "--scales", "128x128,256x256,384x256"]
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
         forward, seen = model.forward, []
 
         def counting_forward(m, image):
             seen.append(blas.get())
-            return forward(m, image)
-        monkeypatch.setattr(model, "forward", counting_forward)
-        for threads in (2, 3):
-            blas.set(threads)
-            assert main(args) == 0
-            assert blas.get() == threads
-        assert seen == [1] * 6
-
-        def failing_forward(m, image):
-            if image.shape[2] == 256:
+            if image.shape[2] == 256 and fail:
                 raise RuntimeError("forward failed")
             return forward(m, image)
-        monkeypatch.setattr(model, "forward", failing_forward)
-        with pytest.raises(RuntimeError, match="forward failed"):
-            main(args)
-        assert blas.get() == 3
+        monkeypatch.setattr(model, "forward", counting_forward)
+        for scales in ("128x128,256x256,384x256", "256x256"):
+            args = ["detect", str(ppm_image), str(tiny_container), "--scales", scales]
+            fail = False
+            for threads in (2, 3):
+                blas.set(threads)
+                assert main(args) == 0
+                assert blas.get() == threads
+            assert seen == [1] * 2 * (scales.count(",") + 1)
+            fail = True
+            seen.clear()
+            with pytest.raises(RuntimeError, match="forward failed"):
+                main(args)
+            assert blas.get() == 3 and seen and set(seen) == {1}
+            seen.clear()
         capsys.readouterr()
+
+    def test_full_model_single_scale_bytes_at_every_cpu_count(self, ppm_image,
+                                                              full_fused_container, blas,
+                                                              tmp_path, monkeypatch):
+        # one scale splits each conv's row blocks over the usable CPUs, three of
+        # them here whatever the machine has
+        if blas is None:
+            pytest.skip("numpy's OpenBLAS has no thread hook")
+        outputs, parts = set(), []
+        run_parts = tensor_ops.run_parts
+        monkeypatch.setattr(tensor_ops, "run_parts", lambda part, total, count, pool:
+                            parts.append(count) or run_parts(part, total, count, pool))
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+            out = tmp_path / f"{cpus}.jsonl"
+            assert main(["detect", str(ppm_image), str(full_fused_container),
+                         "--single-scale", "256x256", "--out", str(out)]) == 0
+            outputs.add(out.read_bytes())
+            assert max(parts) == cpus
+            parts.clear()
+        assert len(outputs) == 1 and outputs.pop()
 
     def test_concurrent_scales_return_in_scale_order(self, tiny_container, blas,
                                                      monkeypatch):

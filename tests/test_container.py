@@ -1,17 +1,23 @@
 import dataclasses
+import errno
+import functools
 import hashlib
 import json
+import os
 import struct
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from acfd import cli, container
 from acfd.container import (ContainerCorruptionError, ContainerFormatError,
                             load, load_file, save, save_file)
 from acfd.model import (build_model, forward, full_config, fuse_model,
                         named_arrays, tiny_config)
+from acfd.ppm import write_ppm
 
 
 @pytest.fixture(scope="module")
@@ -301,3 +307,83 @@ class TestOneAlignedPayload:
         for name in a:
             np.testing.assert_array_equal(a[name], b[name])
             assert not np.shares_memory(a[name], b[name])
+
+
+class TestPartRead:
+    """load_file reads the payload in contiguous parts at once, with os.preadv."""
+
+    @pytest.fixture()
+    def saved(self, tiny_model, tmp_path):
+        path = tmp_path / "model.acfd"
+        save_file(tiny_model, path)
+        blob = path.read_bytes()
+        start = 13 + struct.unpack_from("<Q", blob, 5)[0]
+        return path, blob, start
+
+    @staticmethod
+    def _cuts(blob, start, parts):
+        """File offsets of each part's first byte."""
+        return [start + (len(blob) - start) * i // parts for i in range(parts)]
+
+    @pytest.mark.parametrize("parts", range(1, 6))
+    def test_parts_load_the_arrays_of_the_blob(self, saved, parts, monkeypatch):
+        path, blob, start = saved
+        offsets, preadv = [], os.preadv
+        monkeypatch.setattr(os, "preadv", lambda fd, buffers, offset:
+                            offsets.append(offset) or preadv(fd, buffers, offset))
+        from_file, from_blob = named_arrays(load_file(path, parts)), named_arrays(load(blob))
+        assert sorted(offsets) == self._cuts(blob, start, parts)
+        assert from_file.keys() == from_blob.keys()
+        for name in from_file:
+            assert from_file[name].tobytes() == from_blob[name].tobytes()
+
+    def test_tiny_container_is_one_part(self, saved, monkeypatch):
+        path, blob, start = saved
+        offsets, preadv = [], os.preadv
+        monkeypatch.setattr(os, "preadv", lambda fd, buffers, offset:
+                            offsets.append(offset) or preadv(fd, buffers, offset))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                            raising=False)
+        load_file(path)
+        assert offsets == [start]
+
+    def _detect(self, path, parts, monkeypatch, capsys):
+        """Exit code and stderr of a detect that loads `path` in `parts` parts;
+        asserts that no pool thread outlives the call."""
+        monkeypatch.setattr(container, "load_file", functools.partial(load_file, parts=parts))
+        before = set(threading.enumerate())
+        image = path.parent / "scene.ppm"
+        write_ppm(image, np.zeros((4, 4, 3), dtype=np.uint8))
+        code = cli.main(["detect", str(image), str(path)])
+        assert set(threading.enumerate()) <= before
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        return code, captured.err
+
+    @pytest.mark.parametrize("parts, short", [(1, 0), (2, 0), (2, 1), (5, 0), (5, 2), (5, 4)])
+    def test_short_read_in_any_part_is_a_changed_payload(self, saved, parts, short,
+                                                        monkeypatch, capsys):
+        # the file ends halfway through part `short`, as if cut while read
+        path, blob, start = saved
+        cuts = self._cuts(blob, start, parts) + [len(blob)]
+        end, preadv = (cuts[short] + cuts[short + 1]) // 2, os.preadv
+        monkeypatch.setattr(os, "preadv", lambda fd, buffers, offset: preadv(
+            fd, [memoryview(buffers[0])[:max(0, end - offset)]], offset))
+        code, err = self._detect(path, parts, monkeypatch, capsys)
+        assert code == cli.EXIT_IO
+        assert err == f"bad container {path}: payload changed while reading\n"
+
+    @pytest.mark.parametrize("parts", [2, 5])
+    def test_error_in_a_later_part_is_one_cannot_read_line(self, saved, parts,
+                                                          monkeypatch, capsys):
+        path, blob, start = saved
+        second, preadv = self._cuts(blob, start, parts)[1], os.preadv
+
+        def failing(fd, buffers, offset):
+            if offset == second:
+                raise OSError(errno.EIO, "Input/output error")
+            return preadv(fd, buffers, offset)
+        monkeypatch.setattr(os, "preadv", failing)
+        code, err = self._detect(path, parts, monkeypatch, capsys)
+        assert code == cli.EXIT_IO
+        assert err == f"cannot read {path}: [Errno 5] Input/output error\n"

@@ -56,7 +56,8 @@ def _own_functions(module) -> dict:
 
 
 def test_every_function_is_reached_by_a_subcommand(tmp_path, monkeypatch):
-    # two usable CPUs, so detect takes its concurrent-scale path on any machine
+    # two usable CPUs, so detect takes its concurrent-scale and row-worker paths
+    # on any machine
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     unfused, fused = tmp_path / "tiny.acfd", tmp_path / "tiny-fused.acfd"
     container.save_file(build_model(tiny_config(), seed=0), unfused)
@@ -69,6 +70,8 @@ def test_every_function_is_reached_by_a_subcommand(tmp_path, monkeypatch):
         ["fuse", str(unfused), str(fused)],
         ["detect", str(image), str(unfused), "--out", str(tmp_path / "u.jsonl")],
         ["detect", str(image), str(fused), "--out", str(tmp_path / "f.jsonl")],
+        ["detect", str(image), str(fused), "--single-scale", "128x128",
+         "--out", str(tmp_path / "s.jsonl")],
         ["verify"],
         ["match", str(annotations), str(predictions)],
         ["bench", str(unfused), "--repeats", "1", "--size", "128x128"],

@@ -257,6 +257,66 @@ class TestConv2d:
                                    atol=1e-4, rtol=1e-4)
         assert not buf[:, :, :lo].any() and not buf[:, :, hi:].any()
 
+    @pytest.mark.parametrize("rows", [None, 1], ids=["shipped-blocks", "one-row-blocks"])
+    @pytest.mark.parametrize("cut", ["whole", "row0-cut", "out-slice"])
+    @pytest.mark.parametrize("n, kernel, stride, padding", [
+        pytest.param(1, (1, 1), (1, 1), (0, 0), id="1x1"),
+        pytest.param(2, (1, 1), (1, 1), (0, 0), id="1x1-n2"),
+        pytest.param(1, (3, 3), (1, 1), (1, 1), id="3x3"),
+        pytest.param(2, (3, 3), (2, 2), (1, 1), id="3x3-stride2-n2"),
+        pytest.param(1, (1, 3), (1, 1), (0, 1), id="1x3"),
+        pytest.param(1, (3, 1), (1, 1), (1, 0), id="3x1"),
+    ])
+    def test_row_workers_give_the_bytes_of_one_thread(self, n, kernel, stride, padding,
+                                                      cut, rows, monkeypatch):
+        # 128 channels make every conv here at least three parts of PART_MACS,
+        # so each worker count splits it as far as its blocks allow
+        rng = np.random.default_rng(18)
+        x = rng.standard_normal((n, 128, 40, 48), dtype=np.float32)
+        spec = make_conv(rng.normal(size=(128, 128, *kernel)), bias=rng.normal(size=128),
+                         stride=stride, padding=padding)
+        set_block_rows(monkeypatch, rows, x, spec)
+        oh = conv_output_shape(40, kernel[0], stride[0], padding[0])
+        ow = conv_output_shape(48, kernel[1], stride[1], padding[1])
+        lo, hi = 5, oh - 3  # the row0 cut's output rows, read from row lo - 1 on
+
+        def run():
+            if cut == "whole":
+                return conv2d(x, spec)
+            buf = np.zeros((n, 131, oh, ow), dtype=np.float32)
+            if cut == "out-slice":
+                conv2d(x, spec, out=buf[:, 1:129])
+            else:
+                conv2d(x[:, :, (lo - 1) * stride[0]:hi * stride[0] + kernel[0]], spec,
+                       buf[:, 1:129, lo:hi], 1)
+            return buf
+
+        parts = []
+        run_parts = tensor_ops.run_parts
+        monkeypatch.setattr(tensor_ops, "run_parts", lambda part, total, count, pool:
+                            parts.append(count) or run_parts(part, total, count, pool))
+        want = run()
+        for workers in (1, 2, 3):
+            with tensor_ops.row_workers(workers):
+                assert run().tobytes() == want.tobytes(), workers
+        assert parts[:3] == [1, 1, 2] and parts[3] in (2, 3)
+
+    def test_one_output_channel_splits_by_images(self, monkeypatch):
+        # numpy runs a one-row weight as a matrix-vector product, whose sums
+        # move with its width, so each image is one GEMM whatever the workers
+        rng = np.random.default_rng(19)
+        x = rng.standard_normal((3, 16, 12, 10), dtype=np.float32)
+        spec = make_conv(rng.normal(size=(1, 16, 1, 1)))
+        calls = []
+        run_parts = tensor_ops.run_parts
+        monkeypatch.setattr(tensor_ops, "run_parts", lambda part, total, count, pool:
+                            calls.append((total, count)) or run_parts(part, total, count, pool))
+        monkeypatch.setattr(tensor_ops, "PART_MACS", 1)
+        want = conv2d(x, spec)
+        with tensor_ops.row_workers(2):
+            assert conv2d(x, spec).tobytes() == want.tobytes()
+        assert calls == [(3, 1), (3, 2)]
+
     def test_row0_without_out_raises(self):
         spec = make_conv(np.ones((4, 3, 3, 3)), padding=(1, 1))
         with pytest.raises(ShapeError):
