@@ -1,10 +1,11 @@
 """VoVNetV3-51 backbone: stem, six one-shot-aggregation stages, eSE gating.
 
 Each stage chains asymmetric convolution blocks, concatenates the running
-feature maps once, projects with a 1x1 convolution, applies channel
-attention, and adds a residual where input and output widths agree.
-Downsampling between stages is a 3x3/stride-2/pad-1 max pool so 640 input
-halves exactly through 320/160/80/40/20/10/5.
+feature maps once, projects with a 1x1 convolution, applies channel attention,
+and adds a residual where input and output widths agree. The stem, and each
+block up to its projection, run as one chain over row bands, so no map inside
+them is ever whole. Downsampling between stages is a 3x3/stride-2/pad-1 max
+pool so 640 input halves exactly through 320/160/80/40/20/10/5.
 """
 from __future__ import annotations
 
@@ -24,8 +25,8 @@ POOL_STRIDE = (2, 2)
 POOL_PAD = (1, 1)
 # the network runs on grids whose sides are multiples of the coarsest stride
 GRID_MULTIPLE = 128
-# Bytes of one band's concat panel: each aggregation block runs over bands of
-# output rows whose concatenated rows take at most this much, or one row
+# Bytes of one band's panel: each banded chain runs over bands of output rows
+# whose rows of the maps inside the chain take at most this much, or one row
 BAND_PANEL_BYTES = 4 << 20
 
 
@@ -74,104 +75,86 @@ class AosaSpec:
     residual: bool
 
 
-def aosa_forward(x: np.ndarray, spec: AosaSpec) -> np.ndarray:
-    """Depth-first over bands of output rows, so that no concat buffer or
-    layer map is ever whole.
+def _band_chain(x: np.ndarray, blocks: list[Block], concat: bool = False) -> np.ndarray:
+    """relu(block) along the chain, the last block reading the concatenation
+    of x and every map when ``concat`` is set, depth-first over even bands of
+    the last block's output rows: as few as let the panel take at most
+    BAND_PANEL_BYTES per band, with its halo rows on top.
 
-    One concat panel holds x and every layer map, from one halo row above
-    the band down to the last row a later layer reads. For each band, every
-    layer computes the rows it newly can, one halo behind the map it reads,
-    straight into its channels of the panel, and the projection reads the
-    band's rows of all channels in place. Before the next band, x's rows are
-    copied in again and each map's finished rows move up to the panel's top.
-    No row is computed twice, and every output element is the same dot
-    product as over whole maps.
+    The panel holds each map between x and the output, and x too under
+    ``concat``, from the first row a block still reads or writes, rounded
+    down to every reader's stride, to the last row the band needs. For each
+    band, every block computes the rows it newly can straight into its
+    channels of the panel, or into the output, and before the next band the
+    rows still to be read move up to the panel's top. No row is computed
+    twice, and every output element is the same dot product as over whole maps.
     """
-    check_tensor4(x)
-    n, c0, h, w = x.shape
-    halos = [block_conv(block).padding[0] for block in spec.acbs]
-    widths = [block_conv(block).out_c for block in spec.acbs]
-    edges = np.cumsum([0, c0, *widths]).tolist()  # map j is channels edges[j]:edges[j + 1]
-    band = max(1, min(h, BAND_PANEL_BYTES // (n * edges[-1] * w * x.itemsize)))
-    # x and each layer's map run this many rows ahead of the band
-    ahead = [sum(halos[j:]) for j in range(len(halos) + 1)]
-    halo = max(halos)
-    # panel before out: in the other order glibc keeps 60 MB more heap on a full-model detect
-    panel = concat_channels(x[:, :, :min(h, band + ahead[0] + halo)], edges[-1] - c0)
-    out = np.empty((n, block_conv(spec.projection).out_c, h, w), dtype=x.dtype)
-    for r0 in range(0, h, band):
-        r1 = min(h, r0 + band)
-        top, end = max(0, r0 - halo), min(h, r1 + ahead[0])
-        if r0:  # x's rows come in again, and the maps' finished rows move up to the top
-            panel[:, :c0, :end - top] = x[:, :, top:end]
-            keep, shift = min(h, r0 + ahead[1]) - top, top - max(0, r0 - band - halo)
-            panel[:, c0:, :keep] = panel[:, c0:, shift:shift + keep]
-        for j, block in enumerate(spec.acbs, start=1):
-            lo, hi = min(h, r0 + ahead[j]) if r0 else 0, min(h, r1 + ahead[j])
-            if lo < hi:
-                relu(block_forward(panel[:, edges[j - 1]:edges[j], :end - top], block,
-                                   panel[:, edges[j]:edges[j + 1], lo - top:hi - top],
-                                   lo - top))
-        relu(block_forward(panel[:, :, r0 - top:r1 - top], spec.projection, out[:, :, r0:r1]))
-    del panel
-    out = ese_attention(out, spec.ese.weight, spec.ese.bias)
-    if spec.residual:
-        out += x
-    return out
-
-
-def stem_forward(image: np.ndarray, stem: list[Block]) -> np.ndarray:
-    """The stem's chain of convolutions depth-first over bands of its output
-    rows, so that no map between them is ever whole.
-
-    Each such map lives in a window: from the first row the next conv still
-    reads, rounded down to a whole stride of it, to the last row the band
-    needs. For each band, every conv computes the rows it newly can into its
-    window, or into the output, and before the next band each window's rows
-    still to be read move up to its top. No row is computed twice, and every
-    output element is the same dot product as over whole maps. The bands
-    split the output rows evenly, as few as let the windows take at most
-    BAND_PANEL_BYTES per band, with their halo rows on top.
-    """
-    check_tensor4(image, "image")
-    convs = [block_conv(block) for block in stem]
-    n, _, h, w = image.shape
-    heights, widths = [h], [w]  # map j is the input of conv j, the output of conv j - 1
+    convs = [block_conv(block) for block in blocks]
+    last = len(blocks)
+    n, c, h, w = x.shape
+    heights, widths, chans = [h], [w], [c]  # map j is the input of block j, the output of j - 1
     for conv in convs:
         heights.append(conv_output_shape(heights[-1], conv.kh, conv.stride[0], conv.padding[0]))
         widths.append(conv_output_shape(widths[-1], conv.kw, conv.stride[1], conv.padding[1]))
+        chans.append(conv.out_c)
     strides = [conv.stride[0] for conv in convs]
-    # a window holds the product of the later strides of rows per output row
-    row_bytes = sum(n * conv.out_c * widths[j] * image.itemsize * math.prod(strides[j:])
-                    for j, conv in enumerate(convs[:-1], start=1))
-    band = max(1, BAND_PANEL_BYTES // row_bytes)
+    first = 0 if concat else 1  # maps, and readers of them, first to last - 1 are in the panel
+    edges = np.cumsum([0, *chans[first:last]]).tolist()
+    def reads(i, r):  # the first row of its input that block i's output row r reads
+        return r * strides[i] - convs[i].padding[0]
+    # a map holds the product of the later strides of rows per output row
+    row_bytes = sum(n * chans[j] * widths[j] * x.itemsize * math.prod(strides[j:])
+                    for j in range(first, last))
+    band = max(1, BAND_PANEL_BYTES // max(1, row_bytes))
     band = -(-heights[-1] // -(-heights[-1] // band))
-    # per band, each map's first new row, end row and window top; the image
-    # and the output are whole
-    plan, done = [], [0] * len(heights)
+    # per band: each map's first new row and end row, and the panel's top. A map
+    # ends where the next block reads to, which at stride 1 covers what the
+    # concatenation reads; the last band ends every map, unread rows included
+    plan, done = [], [0] * (last + 1)
     for r0 in range(0, heights[-1], band):
-        end = [h, *[0] * (len(convs) - 1), min(heights[-1], r0 + band)]
-        for j in range(len(convs) - 1, 0, -1):
-            conv = convs[j]
-            end[j] = min(heights[j], (end[j + 1] - 1) * strides[j] - conv.padding[0] + conv.kh)
-        top = [0, *(max(0, (done[j + 1] * strides[j] - convs[j].padding[0]) // strides[j]
-                           * strides[j]) for j in range(1, len(convs))), 0]
-        plan.append((done, end, top))
+        end = heights.copy()
+        if r0 + band < heights[-1]:
+            end[-1] = r0 + band
+            for j in range(last - 1, first - 1, -1):
+                end[j] = min(heights[j], reads(j, end[j + 1] - 1) + convs[j].kh)
+        top = min([*done[first:last], *(max(0, reads(i, done[i + 1]))
+                                        for i in range(first, last))], default=0)
+        plan.append((done, end, top - top % math.lcm(*strides[first:last])))
         done = end
-    windows = [np.empty((n, conv.out_c, max(e[j] - t[j] for _, e, t in plan), widths[j]),
-                        dtype=image.dtype) for j, conv in enumerate(convs[:-1], start=1)]
-    out = np.empty((n, convs[-1].out_c, heights[-1], widths[-1]), dtype=image.dtype)
-    maps, last = [image, *windows, out], plan[0][2]
+    rows = max((e - top for _, end, top in plan for e in end[first:last]), default=0)
+    # panel before out: in the other order glibc keeps 60 MB more heap on a full-model detect
+    panel = (concat_channels(x[:, :, :rows], edges[-1] - c) if concat
+             else np.empty((n, edges[-1], rows, widths[first]), dtype=x.dtype))
+    out = np.empty((n, chans[-1], heights[-1], widths[-1]), dtype=x.dtype)
+    maps = [x][:first] + [panel[:, a:b] for a, b in zip(edges, edges[1:])] + [out]
+    moved = 0  # the row at the panel's top
     for done, end, top in plan:
-        for j, (block, s) in enumerate(zip(stem, strides), start=1):
-            keep, shift = done[j] - top[j], top[j] - last[j]
-            if shift and keep > 0:  # the rows still to be read move up to the window's top
-                maps[j][:, :, :keep] = maps[j][:, :, shift:shift + keep]
-            if done[j] < end[j]:
-                relu(block_forward(maps[j - 1][:, :, :end[j - 1] - top[j - 1]], block,
-                                   maps[j][:, :, done[j] - top[j]:end[j] - top[j]],
-                                   done[j] - top[j - 1] // s))
-        last = top
+        if top > moved:  # the rows still to be read move up to the panel's top
+            keep = max(done[first:last]) - top
+            panel[:, :, :keep] = panel[:, :, top - moved:top - moved + keep]
+        moved = top
+        at = [top if first <= j < last else 0 for j in range(last + 1)]
+        for j in range(first, last + 1):
+            lo, hi = done[j], end[j]
+            if not j and lo:  # x's rows; the first band's came with the panel
+                panel[:, :c, lo - top:hi - top] = x[:, :, lo:hi]
+            elif j and lo < hi:
+                src = panel if concat and j == last else maps[j - 1]
+                relu(block_forward(src[:, :, :end[j - 1] - at[j - 1]], blocks[j - 1],
+                                   maps[j][:, :, lo - at[j]:hi - at[j]],
+                                   lo - at[j - 1] // strides[j - 1]))
+    return out
+
+
+def aosa_forward(x: np.ndarray, spec: AosaSpec) -> np.ndarray:
+    """The layers and the projection as one banded chain, the projection
+    reading the concatenation of x and every layer map; then eSE in place
+    and the residual."""
+    check_tensor4(x)
+    out = _band_chain(x, [*spec.acbs, spec.projection], concat=True)
+    out = ese_attention(out, spec.ese.weight, spec.ese.bias)
+    if spec.residual:
+        out += x
     return out
 
 
@@ -191,7 +174,7 @@ def backbone_forward(image: np.ndarray, spec: BackboneSpec,
     check_grid(image.shape[2:])
     held = [image]  # the running activation, popped into the call that reads it
     del image
-    held.append(stem_forward(held.pop(), spec.stem))
+    held.append(_band_chain(held.pop(), spec.stem))
     levels = []
     for idx, stage in enumerate(spec.stages):
         for block in stage:

@@ -13,7 +13,7 @@ import numpy as np
 from . import losses, matching, model, postprocess
 from .anchors import anchor_count, generate_anchors
 from .backbone import random_acb, random_bn, kaiming_conv
-from .fusion import Branches, ConvBn, acb_forward, fuse_block
+from .fusion import Branches, ConvBn, acb_forward, block_conv, fuse_block, map_blocks
 from .tensor_ops import batch_norm_infer, conv2d
 
 
@@ -137,10 +137,21 @@ def fusion_drift(unfused, fused, seed: int) -> float:
     return float(np.max([np.abs(x - y).max() for x, y in zip(a.cls + a.reg, b.cls + b.reg)]))
 
 
-def check_model_fusion_drift(seed: int = 0) -> CheckResult:
-    m = model.build_model(model.tiny_config(), seed=seed)
-    drift = fusion_drift(m, model.fuse_model(m), seed + 1)
+def check_model_fusion_drift(unfused, fused, seed: int) -> CheckResult:
+    drift = fusion_drift(unfused, fused, seed + 1)
     return CheckResult("model-fusion-drift", drift <= FUSION_DRIFT_BOUND, f"max err {drift:.2e}")
+
+
+def check_fold_macs(unfused, fused) -> CheckResult:
+    """At each default padded grid and the probe grid, the fold counts fewer
+    MACs than the unfused model, and as many as the unfused model cut to each
+    block's first branch: it drops exactly the 1x3 and 3x1 branches."""
+    first = map_blocks(unfused, block_conv)
+    for h, w in (*map(postprocess.pad_to_grid, postprocess.TEST_SCALES), (128, 128)):
+        a, b, c = (model.count_model_macs(m, (h, w)) for m in (unfused, fused, first))
+        if not (ok := b < a and b == c):
+            break  # the detail names the first grid that fails, or else the probe
+    return CheckResult("fold-macs", ok, f"{h}x{w}: {a} -> {b} MACs, first branch {c}")
 
 
 def _random_match_instance(rng: np.random.Generator):
@@ -233,11 +244,14 @@ def check_loss_gradients(rng: np.random.Generator, points: int = 200,
 
 def run_all(seed: int = 0) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
+    unfused = model.build_model(model.tiny_config(), seed=seed)
+    fused = model.fuse_model(unfused)
     return [
         check_anchor_count(),
         check_conv_bn_folding(rng),
         check_acb_fusion(rng),
-        check_model_fusion_drift(seed),
+        check_model_fusion_drift(unfused, fused, seed),
+        check_fold_macs(unfused, fused),
         check_dam_oracle(rng),
         check_nms_oracle(rng),
         check_loss_gradients(rng),

@@ -194,6 +194,15 @@ class TestVerify:
         captured = capsys.readouterr()
         assert "acb-fusion" in captured.out + captured.err
 
+    def test_fold_that_leaves_a_block_unfused_fails_fold_macs(self):
+        unfused = build_model(tiny_config(), seed=0)
+        fused = fuse_model(unfused)
+        result = verify.check_fold_macs(unfused, fused)
+        assert result.passed
+        assert result.detail == "128x128: 9718920 -> 7491720 MACs, first branch 7491720"
+        fused.backbone.stages[0][0].acbs[0] = unfused.backbone.stages[0][0].acbs[0]
+        assert not verify.check_fold_macs(unfused, fused).passed
+
     def test_json_report(self, capsys):
         assert main(["verify", "--seed", "1", "--json"]) == 0
         report = json.loads(capsys.readouterr().out)

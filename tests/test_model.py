@@ -76,7 +76,9 @@ def test_each_map_dies_at_its_last_use(monkeypatch):
     def phase(module, name):
         op = getattr(module, name)
 
-        def call(x, spec):
+        def call(x, spec, concat=False):
+            if concat:  # an aggregation block's chain, inside that block's phase
+                return op(x, spec, concat=concat)
             held = [x]
             del x
             tracemalloc.reset_peak()
@@ -84,7 +86,7 @@ def test_each_map_dies_at_its_last_use(monkeypatch):
             peaks.append((name, tracemalloc.get_traced_memory()[1]))
             return y
         monkeypatch.setattr(module, name, call)
-    for module, name in ((backbone, "stem_forward"), (backbone, "aosa_forward"),
+    for module, name in ((backbone, "_band_chain"), (backbone, "aosa_forward"),
                          (model, "abifpn_forward"), (model, "head_forward")):
         phase(module, name)
     max_pool2d = backbone.max_pool2d
@@ -132,6 +134,29 @@ def test_each_map_dies_at_its_last_use(monkeypatch):
     assert [name for name, peak in peaks if peak >= stage1[1]] == ["aosa_forward"]
     assert outputs_dead == [True] * 6
     assert level0_dead == [True]
+
+
+def test_banded_full_model_is_bit_identical_to_whole_maps(monkeypatch):
+    # the full fused model at 256x384 runs the stem and stages 1 and 2 in
+    # several bands at the shipped budget; with a budget that takes any map,
+    # every chain runs as one band over whole maps
+    m = _build(full_config(), random_params(np.random.default_rng(0)), fused=True)
+    img = np.random.default_rng(1).uniform(-0.5, 0.5, (1, 3, 256, 384)).astype(np.float32)
+    calls = []
+    conv2d = backbone.conv2d
+
+    def counted(x, spec, out=None, row0=None):
+        calls.append(spec)
+        return conv2d(x, spec, out, row0)
+    monkeypatch.setattr(backbone, "conv2d", counted)
+    banded = forward(m, img)
+    for block in (m.backbone.stem[-1], m.backbone.stages[0][0].projection,
+                  m.backbone.stages[1][0].projection):
+        assert sum(spec is block for spec in calls) > 1
+    monkeypatch.setattr(backbone, "BAND_PANEL_BYTES", 1 << 40)
+    whole = forward(m, img)
+    for a, b in zip(banded.cls + banded.reg, whole.cls + whole.reg, strict=True):
+        np.testing.assert_array_equal(a, b)
 
 
 def test_forward_leaves_an_input_its_caller_holds_unchanged(tiny_model):
