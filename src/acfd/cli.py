@@ -1,19 +1,17 @@
-"""Operator entry point: fuse, verify, match, detect, bench.
+"""Operator entry point: fuse, verify, match, detect.
 
 Exit codes are a frozen contract: 0 success, 1 I/O failure, 2 usage error,
 3 verification failure. All subcommands are deterministic given their
-inputs and --seed, apart from bench wall-clock numbers. detect runs every
-GEMM on one OpenBLAS thread, and one Python thread per usable CPU over its
-scales, or a single scale's conv row blocks, and over the container read;
-its output is the same bytes at every CPU count.
+inputs and --seed. detect runs every GEMM on one OpenBLAS thread, and one
+Python thread per usable CPU over its scales, or a single scale's conv row
+blocks, and over the container read; its output is the same bytes at every
+CPU count.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import statistics
 import sys
-import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -50,12 +48,6 @@ def _parse_size(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(
             f"expected HxW of positive integers up to {MAX_SIDE}, got {text!r}")
     return int(h), int(w)
-
-
-def _positive_int(text: str) -> int:
-    if not (text.isascii() and text.isdecimal() and int(text) > 0):
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return int(text)
 
 
 def _seed(text: str) -> int:
@@ -190,7 +182,7 @@ def cmd_match(args) -> int:
     except OSError as exc:
         print(f"cannot read input: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         print(f"malformed JSON: {exc}", file=sys.stderr)
         return EXIT_IO
     anchors = generate_anchors(args.image_size)
@@ -310,7 +302,9 @@ def cmd_detect(args) -> int:
         print(f"bad container {args.container}: {exc}", file=sys.stderr)
         return EXIT_IO
     boxes, scores = postprocess(per_scale, args.nms_iou)
-    image_id = json.dumps(Path(args.image).stem, ensure_ascii=False)
+    stem = Path(args.image).stem
+    # a file name that is not UTF-8 decodes to lone surrogates, which only \u escapes carry
+    image_id = json.dumps(stem, ensure_ascii=any("\ud800" <= c <= "\udfff" for c in stem))
     lines = [
         f'{{"image_id": {image_id}, "x1": {x1:.4f}, "y1": {y1:.4f}, '
         f'"x2": {x2:.4f}, "y2": {y2:.4f}, "score": {score:.4f}}}'
@@ -325,51 +319,6 @@ def cmd_detect(args) -> int:
             return EXIT_IO
     else:
         sys.stdout.write(text)
-    return EXIT_OK
-
-
-def _time_forward(m: model.DetectorModel, probe: np.ndarray, repeats: int) -> list[float]:
-    times = []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        model.forward(m, probe)
-        times.append((time.perf_counter() - t0) * 1000.0)
-    return times
-
-
-def cmd_bench(args) -> int:
-    unfused = _load_model(args.container)
-    if unfused is None:
-        return EXIT_IO
-    if unfused.fused:
-        print("bench expects an unfused container", file=sys.stderr)
-        return EXIT_USAGE
-    fused = model.fuse_model(unfused)
-    rng = np.random.default_rng(args.seed)
-    probe = rng.uniform(-1.0, 1.0, size=(1, 3, *args.size)).astype(np.float32)
-    model.forward(fused, probe)  # warm-up both paths once
-    model.forward(unfused, probe)
-
-    rows = []
-    for label, m in (("unfused", unfused), ("fused", fused)):
-        times = _time_forward(m, probe, args.repeats)
-        median = statistics.median(times)
-        p95 = (sorted(times)[max(0, int(round(0.95 * len(times))) - 1)]
-               if len(times) > 1 else None)
-        macs = model.count_model_macs(m, args.size)
-        rows.append((label, median, p95, macs))
-    if args.csv:
-        print("variant,median_ms,p95_ms,macs")
-        for label, median, p95, macs in rows:
-            p95_s = f"{p95:.3f}" if p95 is not None else ""
-            print(f"{label},{median:.3f},{p95_s},{macs}")
-    else:
-        for label, median, p95, macs in rows:
-            p95_s = f"{p95:8.3f} ms" if p95 is not None else "       -   "
-            print(f"{label:<8} median {median:8.3f} ms  p95 {p95_s}  MACs {macs}")
-        speedup = rows[0][1] / rows[1][1] if rows[1][1] > 0 else float("inf")
-        print(f"speedup (unfused/fused median): {speedup:.2f}x")
-        print(f"MAC reduction: {rows[0][3] - rows[1][3]}")
     return EXIT_OK
 
 
@@ -419,13 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write JSON lines here instead of stdout")
     p.set_defaults(func=cmd_detect)
 
-    p = sub.add_parser("bench", help="time unfused vs fused forward passes")
-    p.add_argument("container")
-    p.add_argument("--repeats", type=_positive_int, default=20)
-    p.add_argument("--size", type=_grid_size, default="256x256")
-    p.add_argument("--seed", type=_seed, default="0")
-    p.add_argument("--csv", action="store_true")
-    p.set_defaults(func=cmd_bench)
     return parser
 
 

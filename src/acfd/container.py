@@ -136,16 +136,15 @@ def save_file(model: DetectorModel, path) -> None:
         fh.write(save(model))
 
 
-def load_file(path, parts: int | None = None) -> DetectorModel:
+def load_file(path) -> DetectorModel:
     """The model of the container file at `path`. Its payload is read into one
-    fresh buffer in `parts` contiguous parts at once with os.preadv; by default
-    one part per usable CPU, each at least PART_BYTES."""
+    fresh buffer in contiguous parts at once with os.preadv: one part per
+    usable CPU, each at least PART_BYTES."""
     with open(path, "rb") as fh:
         header = _read_header(fh)
         start = fh.tell()
         payload = np.empty(fh.seek(0, io.SEEK_END) - start, np.uint8)
-        if parts is None:
-            parts = max(1, min(usable_cpus(), len(payload) // PART_BYTES))
+        parts = max(1, min(usable_cpus(), len(payload) // PART_BYTES))
 
         def read(lo, hi):
             while lo < hi:  # one preadv moves at most about 2 GiB

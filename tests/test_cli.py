@@ -1,7 +1,9 @@
 import argparse
 import dataclasses
 import hashlib
+import io
 import json
+import os
 import resource
 import struct
 import subprocess
@@ -299,6 +301,16 @@ class TestMatch:
         pred.write_text("[]")
         assert main(["match", str(ann), str(pred)]) == 1
 
+    def test_file_that_is_not_utf8_is_one_line_io_error(self, tmp_path, capsys):
+        # such as a PPM or a container given where JSON belongs
+        ann, pred = self.write_inputs(tmp_path, [], [])
+        ann.write_bytes(b"P6\n1 1\n255\n\xff\x00\x00")
+        assert main(["match", str(ann), str(pred)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("malformed JSON: 'utf-8' codec can't decode byte 0xff in "
+                                "position 11: invalid start byte\n")
+
 
 @pytest.mark.parametrize("command", ["detect", "fuse", "match"])
 def test_deeply_nested_json_is_one_line_io_error(command, ppm_image, tmp_path):
@@ -345,6 +357,23 @@ class TestDetect:
         lines = proc.stdout.splitlines()
         assert lines
         assert all(json.loads(line)["image_id"] == 'a"b\\c' for line in lines)
+
+    def test_image_id_of_a_name_that_is_not_utf8_is_escaped(self, ppm_image, tiny_container,
+                                                            tmp_path, monkeypatch):
+        # byte 0xff of the name decodes to the lone surrogate "\udcff", which UTF-8
+        # cannot encode: --out and a strict UTF-8 stdout both get it as a \u escape
+        image = tmp_path / os.fsdecode(b"\xff-frame.ppm")
+        image.write_bytes(ppm_image.read_bytes())
+        argv = ["detect", str(image), str(tiny_container), "--single-scale", "128x128"]
+        out = tmp_path / "out.jsonl"
+        assert main(argv + ["--out", str(out)]) == 0
+        stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors="strict")
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(argv) == 0
+        stdout.flush()
+        assert stdout.buffer.getvalue() == out.read_bytes()
+        lines = out.read_bytes().decode("utf-8").splitlines()
+        assert lines and all(json.loads(line)["image_id"] == "\udcff-frame" for line in lines)
 
     def test_single_scale(self, ppm_image, tiny_container, capsys):
         assert main(["detect", str(ppm_image), str(tiny_container),
@@ -728,35 +757,14 @@ class TestDetect:
             assert len(frac) == 4
 
 
-class TestBench:
-    def test_csv_output(self, tiny_container, capsys):
-        assert main(["bench", str(tiny_container), "--repeats", "3",
-                     "--size", "128x128", "--csv"]) == 0
-        lines = capsys.readouterr().out.strip().splitlines()
-        assert lines[0] == "variant,median_ms,p95_ms,macs"
-        unfused = lines[1].split(",")
-        fused = lines[2].split(",")
-        assert int(fused[3]) < int(unfused[3])
-
-    def test_single_repeat_has_no_p95(self, tiny_container, capsys):
-        assert main(["bench", str(tiny_container), "--repeats", "1",
-                     "--size", "128x128", "--csv"]) == 0
-        lines = capsys.readouterr().out.strip().splitlines()
-        assert lines[1].split(",")[2] == ""
-
-    def test_fused_container_rejected(self, fused_container):
-        assert main(["bench", str(fused_container), "--repeats", "1"]) == 2
-
-
-@pytest.mark.parametrize("command", ["fuse", "detect", "bench"])
+@pytest.mark.parametrize("command", ["fuse", "detect"])
 def test_negative_bn_variance_is_one_line_io_error(command, tiny_container, ppm_image,
                                                    tmp_path, capsys):
     bad = _with_first_value(tiny_container, "backbone.stem0.bn.var", -2.0,
                             tmp_path / "negative.acfd")
     out = tmp_path / "out.acfd"
     argv = {"fuse": ["fuse", str(bad), str(out)],
-            "detect": ["detect", str(ppm_image), str(bad)],
-            "bench": ["bench", str(bad), "--repeats", "1", "--size", "128x128"]}[command]
+            "detect": ["detect", str(ppm_image), str(bad)]}[command]
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.count("\n") == 1
@@ -765,16 +773,17 @@ def test_negative_bn_variance_is_one_line_io_error(command, tiny_container, ppm_
 
 
 @pytest.mark.parametrize("argv", [
-    ["bench", "w.acfd", "--size", "abc"],
-    ["bench", "w.acfd", "--size", "100x100"],
-    ["bench", "w.acfd", "--size", "0x128"],
+    ["bench", "w.acfd"],  # no such subcommand
+    ["match", "a.json", "p.json", "--image-size", "abc"],
+    ["match", "a.json", "p.json", "--image-size", "0x128"],
+    ["match", "a.json", "p.json", "--image-size", "128X129"],
+    ["match", "a.json", "p.json", "--image-size", "128x128x128"],
     ["detect", "x.ppm", "w.acfd", "--single-scale", "abc"],
     ["detect", "x.ppm", "w.acfd", "--scales", "128x128,12"],
+    ["detect", "x.ppm", "w.acfd", "--scales", "128x128,"],
     ["match", "a.json", "p.json", "--image-size", "100x100"],
     ["match", "a.json", "p.json", "--t1", "0.35,foo"],
-    ["bench", "w.acfd", "--repeats", "0"],
-    ["bench", "w.acfd", "--repeats", "-3"],
-    ["bench", "w.acfd", "--size", "4224x128"],
+    ["match", "a.json", "p.json", "--image-size", "4224x128"],
     ["detect", "x.ppm", "w.acfd", "--single-scale", "100000x100000"],
     ["detect", "x.ppm", "w.acfd", "--single-scale", "20000x20000"],
     ["detect", "x.ppm", "w.acfd", "--scales", "480x645,640x4097"],
@@ -794,12 +803,11 @@ def test_negative_bn_variance_is_one_line_io_error(command, tiny_container, ppm_
     # digits of other scripts, which int() and str.isdecimal() accept
     ["detect", "x.ppm", "w.acfd", "--scales", "\uff11\uff12\uff18x\uff11\uff12\uff18"],
     ["detect", "x.ppm", "w.acfd", "--single-scale", "128x\u0661\u0662\u0668"],
-    ["bench", "w.acfd", "--repeats", "\uff13"],
-    ["bench", "w.acfd", "--size", "\u0967\u0968\u096ex128"],
+    ["match", "a.json", "p.json", "--image-size", "\u0967\u0968\u096ex128"],
     # seeds, which np.random.default_rng rejects when negative
     ["verify", "--seed", "-1"],
     ["fuse", "a.acfd", "b.acfd", "--seed", "-5"],
-    ["bench", "w.acfd", "--seed", "-2"],
+    ["fuse", "a.acfd", "b.acfd", "--seed", ""],
     ["verify", "--seed", "\uff11"],
     ["verify", "--seed", "1_0"],
     ["verify", "--seed", " 7"],

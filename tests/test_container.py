@@ -1,6 +1,5 @@
 import dataclasses
 import errno
-import functools
 import hashlib
 import json
 import os
@@ -325,13 +324,21 @@ class TestPartRead:
         """File offsets of each part's first byte."""
         return [start + (len(blob) - start) * i // parts for i in range(parts)]
 
+    @staticmethod
+    def _in_parts(parts, monkeypatch):
+        """Make load_file read any payload in `parts` parts: one per usable CPU,
+        with parts of a byte or more."""
+        monkeypatch.setattr(container, "usable_cpus", lambda: parts)
+        monkeypatch.setattr(container, "PART_BYTES", 1)
+
     @pytest.mark.parametrize("parts", range(1, 6))
     def test_parts_load_the_arrays_of_the_blob(self, saved, parts, monkeypatch):
         path, blob, start = saved
         offsets, preadv = [], os.preadv
         monkeypatch.setattr(os, "preadv", lambda fd, buffers, offset:
                             offsets.append(offset) or preadv(fd, buffers, offset))
-        from_file, from_blob = named_arrays(load_file(path, parts)), named_arrays(load(blob))
+        self._in_parts(parts, monkeypatch)
+        from_file, from_blob = named_arrays(load_file(path)), named_arrays(load(blob))
         assert sorted(offsets) == self._cuts(blob, start, parts)
         assert from_file.keys() == from_blob.keys()
         for name in from_file:
@@ -350,7 +357,7 @@ class TestPartRead:
     def _detect(self, path, parts, monkeypatch, capsys):
         """Exit code and stderr of a detect that loads `path` in `parts` parts;
         asserts that no pool thread outlives the call."""
-        monkeypatch.setattr(container, "load_file", functools.partial(load_file, parts=parts))
+        self._in_parts(parts, monkeypatch)
         before = set(threading.enumerate())
         image = path.parent / "scene.ppm"
         write_ppm(image, np.zeros((4, 4, 3), dtype=np.uint8))

@@ -1,8 +1,8 @@
 """Every function the program defines is reached by one of its subcommands.
 
-A function stays in `src/acfd` only if `fuse`, `detect`, `verify`, `match` or
-`bench` calls it, apart from the few named in UNREACHED, each kept for a
-stated reason. This runs each subcommand once on the tiny model under a
+A function stays in `src/acfd` only if `fuse`, `detect`, `verify` or `match`
+calls it, apart from the few named in UNREACHED, each kept for a stated
+reason. This runs each subcommand once on the tiny model under a
 profile hook and lists what no call reached, so dead code cannot pile up
 behind tests that call it directly.
 """
@@ -74,7 +74,6 @@ def test_every_function_is_reached_by_a_subcommand(tmp_path, monkeypatch):
          "--out", str(tmp_path / "s.jsonl")],
         ["verify"],
         ["match", str(annotations), str(predictions)],
-        ["bench", str(unfused), "--repeats", "1", "--size", "128x128"],
     ]
 
     called = set()
