@@ -18,7 +18,7 @@ import numpy as np
 from .fusion import Block, Branches, ConvBn, acb_forward, block_conv
 from .tensor_ops import (BNSpec, ConvSpec, ShapeError, check_tensor4,
                          concat_channels, conv2d, conv_output_shape, global_avg_pool,
-                         linear, max_pool2d, relu, sigmoid)
+                         linear, max_pool2d, relu, resident, sigmoid)
 
 POOL_KERNEL = (3, 3)
 POOL_STRIDE = (2, 2)
@@ -89,6 +89,7 @@ def _band_chain(x: np.ndarray, blocks: list[Block], concat: bool = False) -> np.
     rows still to be read move up to the panel's top. No row is computed
     twice, and every output element is the same dot product as over whole maps.
     """
+    blocks = resident(blocks)  # once for every band
     convs = [block_conv(block) for block in blocks]
     last = len(blocks)
     n, c, h, w = x.shape
@@ -130,8 +131,13 @@ def _band_chain(x: np.ndarray, blocks: list[Block], concat: bool = False) -> np.
     moved = 0  # the row at the panel's top
     for done, end, top in plan:
         if top > moved:  # the rows still to be read move up to the panel's top
-            keep = max(done[first:last]) - top
-            panel[:, :, :keep] = panel[:, :, top - moved:top - moved + keep]
+            # by one flat copy per image: numpy copies a 1-d overlap in place, where
+            # the interleaved channels need a temporary. Below them in a channel
+            # come the next channel's rows, which the band writes over
+            shift, keep = top - moved, max(done[first:last]) - top
+            span = ((edges[-1] - 1) * rows + keep) * widths[first]
+            for flat in panel.reshape(n, -1):
+                flat[:span] = flat[shift * widths[first]:][:span]
         moved = top
         at = [top if first <= j < last else 0 for j in range(last + 1)]
         for j in range(first, last + 1):
@@ -152,7 +158,8 @@ def aosa_forward(x: np.ndarray, spec: AosaSpec) -> np.ndarray:
     and the residual."""
     check_tensor4(x)
     out = _band_chain(x, [*spec.acbs, spec.projection], concat=True)
-    out = ese_attention(out, spec.ese.weight, spec.ese.bias)
+    ese = resident(spec.ese)
+    out = ese_attention(out, ese.weight, ese.bias)
     if spec.residual:
         out += x
     return out
@@ -181,7 +188,7 @@ def backbone_forward(image: np.ndarray, spec: BackboneSpec,
             held.append(aosa_forward(held.pop(), block))
         if idx + 1 < len(spec.stages):  # the pool first, so that the output dies in its lateral
             held.insert(0, max_pool2d(held[0], POOL_KERNEL, POOL_STRIDE, POOL_PAD))
-        levels.append(block_forward(held.pop(), laterals[idx]))
+        levels.append(block_forward(held.pop(), resident(laterals[idx])))
     return levels
 
 

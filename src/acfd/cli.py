@@ -4,8 +4,7 @@ Exit codes are a frozen contract: 0 success, 1 I/O failure, 2 usage error,
 3 verification failure. All subcommands are deterministic given their
 inputs and --seed. detect runs every GEMM on one OpenBLAS thread, and one
 Python thread per usable CPU over its scales, or a single scale's conv row
-blocks, and over the container read; its output is the same bytes at every
-CPU count.
+blocks; its output is the same bytes at every CPU count.
 """
 from __future__ import annotations
 
@@ -298,8 +297,11 @@ def cmd_detect(args) -> int:
     try:
         per_scale = _detect_scales(pixels, args.mean, m, args.scales or TEST_SCALES,
                                    args.conf)
-    except NonFiniteHeadOutput as exc:
+    except (NonFiniteHeadOutput, container.ContainerCorruptionError) as exc:
         print(f"bad container {args.container}: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except OSError as exc:  # the forward reads the container a block at a time
+        print(f"cannot read {args.container}: {exc}", file=sys.stderr)
         return EXIT_IO
     boxes, scores = postprocess(per_scale, args.nms_iou)
     stem = Path(args.image).stem

@@ -16,25 +16,18 @@ import json
 import math
 import os
 import struct
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from .model import DetectorModel, ModelConfig, _build, named_arrays
-from .tensor_ops import run_parts, usable_cpus
+from .tensor_ops import ContainerCorruptionError, FileMapping
 
 MAGIC = b"ACFD\0"
 FORMAT_VERSION = 1
-# Fewest payload bytes per read thread, so the tiny containers are read in one part
-PART_BYTES = 16 << 20
 
 
 class ContainerFormatError(ValueError):
     """Bad magic or unsupported version."""
-
-
-class ContainerCorruptionError(ValueError):
-    """Manifest and payload disagree."""
 
 
 def _entry(name: str, shape: tuple[int, ...], offset: int) -> dict:
@@ -64,10 +57,10 @@ def save(model: DetectorModel) -> bytes:
 
 
 def _from_payload(header: dict, payload: np.ndarray) -> DetectorModel:
-    """The model the config builds, each parameter a float32 view of one buffer
-    (4-byte entry sizes keep them aligned). As the build asks for parameter k,
-    entry k must be the one ``save`` writes for its name and shape at the
-    running offset."""
+    """The model the config builds, each parameter a float32 view of the
+    payload's bytes, aligned when the payload is (4-byte entry sizes keep
+    them so). As the build asks for parameter k, entry k must be the one
+    ``save`` writes for its name and shape at the running offset."""
     try:
         config = ModelConfig.from_dict(header["config"])
     except (KeyError, TypeError, ValueError) as exc:
@@ -132,26 +125,33 @@ def load(blob: bytes) -> DetectorModel:
 
 
 def save_file(model: DetectorModel, path) -> None:
+    """Write the container of `model` to `path`. Every byte is made before the
+    file is opened, so a model that ``load_file`` mapped from `path` itself
+    can be saved over it."""
+    blob = save(model)
     with open(path, "wb") as fh:
-        fh.write(save(model))
+        fh.write(blob)
 
 
 def load_file(path) -> DetectorModel:
-    """The model of the container file at `path`. Its payload is read into one
-    fresh buffer in contiguous parts at once with os.preadv: one part per
-    usable CPU, each at least PART_BYTES."""
+    """The model of the container file at `path`. A fused container is mapped
+    and no payload byte is read: each parameter is a read-only float32 view of
+    one read-only ``tensor_ops.FileMapping`` of the file, unaligned unless the
+    payload is, which the forward reads into memory a block at a time through
+    ``tensor_ops.resident``. An unfused one, the train-time form ``fuse``
+    folds, is read whole into one aligned buffer with os.preadv: its build
+    checks every batch-norm variance, which a mapping would read entry by
+    entry, and its blocks hold five arrays per branch."""
     with open(path, "rb") as fh:
         header = _read_header(fh)
         start = fh.tell()
+        if header["fused"]:
+            return _from_payload(header, np.frombuffer(FileMapping(fh), np.uint8)[start:])
         payload = np.empty(fh.seek(0, io.SEEK_END) - start, np.uint8)
-        parts = max(1, min(usable_cpus(), len(payload) // PART_BYTES))
-
-        def read(lo, hi):
-            while lo < hi:  # one preadv moves at most about 2 GiB
-                got = os.preadv(fh.fileno(), [payload[lo:hi]], start + lo)
-                if not got:
-                    raise ContainerCorruptionError("payload changed while reading")
-                lo += got
-        with ThreadPoolExecutor(max_workers=parts) as pool:
-            run_parts(read, len(payload), parts, pool)
+        at = 0
+        while at < len(payload):  # one preadv moves at most about 2 GiB
+            got = os.preadv(fh.fileno(), [payload[at:]], start + at)
+            if not got:
+                raise ContainerCorruptionError("payload changed while reading")
+            at += got
     return _from_payload(header, payload)

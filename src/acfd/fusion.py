@@ -10,7 +10,7 @@ branches add into one convolution.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -94,19 +94,6 @@ def fuse_block(block: Branches) -> ConvSpec:
         weight[:, :, top:top + w.shape[2], left:left + w.shape[3]] += w
         bias += b
     return ConvSpec(weight=weight, bias=bias, stride=first.stride, padding=first.padding)
-
-
-def map_blocks(tree, leaf):
-    """Rebuild a model or any sub-tree of one with every ``Branches`` block
-    replaced by ``leaf(block)``; arrays and numbers carry over."""
-    if isinstance(tree, Branches):
-        return leaf(tree)
-    if isinstance(tree, list):
-        return [map_blocks(node, leaf) for node in tree]
-    if is_dataclass(tree):
-        return replace(tree, **{f.name: map_blocks(getattr(tree, f.name), leaf)
-                                for f in fields(tree)})
-    return tree
 
 
 def block_conv(block: Block) -> ConvSpec:

@@ -7,7 +7,7 @@ order ``named_arrays`` lists and the weight container serializes.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -15,8 +15,9 @@ from .anchors import STRIDES, HeadOutput, HeadSpec, build_head, head_forward, le
 from .backbone import (BackboneConfig, BackboneSpec, Param, StageConfig,
                        backbone_forward, build_backbone, check_grid, random_params,
                        tiny_backbone_config)
-from .fusion import block_macs, fuse_block, map_blocks
+from .fusion import Branches, block_macs, fuse_block
 from .neck import BifpnSpec, abifpn_forward, build_neck
+from .tensor_ops import map_tree, tree_arrays
 
 
 @dataclass(frozen=True)
@@ -107,28 +108,16 @@ def fuse_model(model: DetectorModel) -> DetectorModel:
     """Fold every block of conv+BN branches into its one plain conv."""
     if model.fused:
         raise ValueError("model is already fused")
-    return replace(map_blocks(model, fuse_block), fused=True)
+    return replace(map_tree(model, Branches, fuse_block), fused=True)
 
 
 # ---------------------------------------------------------------------------
 # named parameters (container order is the build order)
 
-def _leaves(tree):
-    """Every array of a model or sub-tree, in dataclass field order."""
-    if isinstance(tree, np.ndarray):
-        yield tree
-    elif isinstance(tree, list):
-        for node in tree:
-            yield from _leaves(node)
-    elif is_dataclass(tree):
-        for f in fields(tree):
-            yield from _leaves(getattr(tree, f.name))
-
-
 def named_arrays(model: DetectorModel) -> dict[str, np.ndarray]:
     """Flat name -> array view of every parameter, in container order (the
     builders ask for arrays in the order the model's fields hold them)."""
-    leaves = _leaves(model)
+    leaves = iter(tree_arrays(model))
     out: dict[str, np.ndarray] = {}
 
     def own(name, shape, draw):

@@ -14,7 +14,8 @@ import numpy as np
 
 from .backbone import (POOL_KERNEL, POOL_PAD, POOL_STRIDE, Block, Param,
                        block_forward, named_acb, named_conv_bn, sampled)
-from .tensor_ops import COLS_BLOCK_BYTES, ShapeError, max_pool2d, relu, resize_nearest
+from .tensor_ops import (COLS_BLOCK_BYTES, ShapeError, max_pool2d, relu, resident,
+                         resize_nearest)
 
 FUSION_STABILIZER = 1e-4
 
@@ -90,12 +91,12 @@ def bifpn_layer_forward(levels: list[np.ndarray], layer: BifpnLayerSpec) -> list
     finest, levels = [levels[0]], [None, *levels[1:]]
     td = [None] * n
     td[n - 1] = levels[n - 1]
-    for i, node in zip(range(n - 2, -1, -1), layer.td_nodes):
+    for i, node in zip(range(n - 2, -1, -1), map(resident, layer.td_nodes)):
         td[i] = fuse_node([levels[i] if i else finest.pop(), resize_nearest(td[i + 1], hw[i])],
                           node.weights, node.acb)
     out = [None] * n
     out[0] = td[0]
-    for i, node in zip(range(1, n), layer.bu_nodes):
+    for i, node in zip(range(1, n), map(resident, layer.bu_nodes)):
         # grid sides are multiples of 128, so the pool halves each level exactly
         own = [levels[i], td[i]] if i < n - 1 else [levels[i]]
         out[i] = fuse_node([*own, max_pool2d(out[i - 1], POOL_KERNEL, POOL_STRIDE, POOL_PAD)],

@@ -13,7 +13,9 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import mmap
 import os
+import weakref
 from concurrent.futures import Executor, ThreadPoolExecutor
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -25,6 +27,10 @@ import numpy as np
 
 class ShapeError(ValueError):
     """Raised when tensor dims are incompatible with an operation."""
+
+
+class ContainerCorruptionError(ValueError):
+    """Manifest and payload disagree."""
 
 
 def check_tensor4(x: np.ndarray, name: str = "input") -> None:
@@ -107,6 +113,83 @@ class BNSpec:
         a = self.gamma.astype(np.float64) / np.sqrt(denom)
         b = self.beta.astype(np.float64) - self.mean.astype(np.float64) * a
         return a, b
+
+
+def map_tree(tree, kind, leaf):
+    """A dataclass or list tree of specs rebuilt with each node of ``kind`` (a
+    type or a tuple of them) replaced by ``leaf(node)``; other values carry
+    over. The specs' dataclass fields are all init fields, so each is rebuilt
+    by calling its class."""
+    if isinstance(tree, kind):
+        return leaf(tree)
+    if isinstance(tree, list):
+        return [map_tree(node, kind, leaf) for node in tree]
+    names = getattr(tree, "__dataclass_fields__", None)
+    if names is None:
+        return tree
+    return type(tree)(**{name: map_tree(getattr(tree, name), kind, leaf) for name in names})
+
+
+def tree_arrays(tree, out: list | None = None) -> list[np.ndarray]:
+    """Every array of a dataclass or list tree, in field order."""
+    out = [] if out is None else out
+    if isinstance(tree, np.ndarray):
+        out.append(tree)
+    elif isinstance(tree, list):
+        for node in tree:
+            tree_arrays(node, out)
+    else:
+        for name in getattr(tree, "__dataclass_fields__", ()):
+            tree_arrays(getattr(tree, name), out)
+    return out
+
+
+class FileMapping(mmap.mmap):
+    """A read-only mapping of a whole open file, with a descriptor of its own
+    that ``resident`` reads the file through; it closes with the mapping."""
+
+    def __new__(cls, fh):
+        self = super().__new__(cls, fh.fileno(), 0, access=mmap.ACCESS_READ)
+        self.fd = os.dup(fh.fileno())
+        weakref.finalize(self, os.close, self.fd)
+        self.address = np.frombuffer(self, np.uint8).__array_interface__["data"][0]
+        return self
+
+
+def _file_at(a: np.ndarray) -> tuple[int, int] | None:
+    """(descriptor, byte offset) in the file of an array that views a
+    ``FileMapping`` through ``np.frombuffer``, as ``container.load_file``'s
+    do; else None."""
+    root = a
+    while isinstance(root.base, np.ndarray):
+        root = root.base
+    mapping = getattr(root.base, "obj", None)
+    if not isinstance(mapping, FileMapping):
+        return None
+    return mapping.fd, a.__array_interface__["data"][0] - mapping.address
+
+
+def resident(tree):
+    """A spec tree of one container's arrays as the forward reads them: the
+    tree itself when its first array views no ``FileMapping``, else the tree
+    with every array read from the file into an aligned private one by one
+    os.preadv, so that the forward never faults in a page of the mapping. The
+    arrays must tile one span of the file in field order, as those of any
+    block of a loaded model do. A short read raises ContainerCorruptionError,
+    as the file has changed since the load, and a failed one OSError."""
+    arrays = tree_arrays(tree)
+    at = _file_at(arrays[0]) if arrays else None
+    if at is None:
+        return tree
+    fd, lo = at
+    copies = [np.empty(a.shape, a.dtype) for a in arrays]
+    size = sum(c.nbytes for c in copies)
+    if _file_at(arrays[-1]) != (fd, lo + size - arrays[-1].nbytes):
+        raise ValueError("the tree's arrays do not tile one span of one file")
+    if os.preadv(fd, copies, lo) != size:
+        raise ContainerCorruptionError("payload changed while reading")
+    copies = iter(copies)
+    return map_tree(tree, np.ndarray, lambda a: next(copies))
 
 
 # Bytes of im2col columns, with the padded input rows they are copied from, that

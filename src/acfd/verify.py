@@ -13,8 +13,8 @@ import numpy as np
 from . import losses, matching, model, postprocess
 from .anchors import anchor_count, generate_anchors
 from .backbone import random_acb, random_bn, kaiming_conv
-from .fusion import Branches, ConvBn, acb_forward, block_conv, fuse_block, map_blocks
-from .tensor_ops import batch_norm_infer, conv2d
+from .fusion import Branches, ConvBn, acb_forward, block_conv, fuse_block
+from .tensor_ops import batch_norm_infer, conv2d, map_tree
 
 
 @dataclass
@@ -146,7 +146,7 @@ def check_fold_macs(unfused, fused) -> CheckResult:
     """At each default padded grid and the probe grid, the fold counts fewer
     MACs than the unfused model, and as many as the unfused model cut to each
     block's first branch: it drops exactly the 1x3 and 3x1 branches."""
-    first = map_blocks(unfused, block_conv)
+    first = map_tree(unfused, Branches, block_conv)
     for h, w in (*map(postprocess.pad_to_grid, postprocess.TEST_SCALES), (128, 128)):
         a, b, c = (model.count_model_macs(m, (h, w)) for m in (unfused, fused, first))
         if not (ok := b < a and b == c):

@@ -13,8 +13,8 @@ from acfd.backbone import (AosaSpec, BackboneConfig, EseSpec, aosa_forward,
                            backbone_forward, block_forward, build_backbone,
                            ese_attention, kaiming_conv, named_acb, named_conv_bn,
                            random_acb, random_bn, random_params, tiny_backbone_config)
-from acfd.fusion import Branches, ConvBn, block_macs, fuse_block, map_blocks
-from acfd.tensor_ops import BNSpec, ConvSpec, ShapeError, relu
+from acfd.fusion import Branches, ConvBn, block_macs, fuse_block
+from acfd.tensor_ops import BNSpec, ConvSpec, ShapeError, map_tree, relu
 from reference import identity_laterals
 
 
@@ -443,7 +443,9 @@ class TestBackboneForward:
         # output, one panel of the 768 channels over a band, the five rows
         # ahead of it and one halo row above it, and one column block, where a
         # whole concat buffer would hold 768 channels. The input dies once
-        # the stem has read it
+        # the stem has read it. With one-row column blocks, the 2.25 MiB
+        # temporary of a panel shift across the interleaved channels would
+        # set the peak
         rng = np.random.default_rng(11)
         config = BackboneConfig(stages=(BackboneConfig().stages[0],
                                         *tiny_backbone_config(8).stages[1:]))
@@ -460,15 +462,20 @@ class TestBackboneForward:
             peaks.append(tracemalloc.get_traced_memory()[1])
             return y
         monkeypatch.setattr(backbone, "aosa_forward", traced)
-        tracemalloc.start()
-        try:
-            pyramid = backbone_forward(
-                rng.standard_normal((1, 3, 512, 512), dtype=np.float32), spec,
-                identity_laterals(config.out_channels))
-        finally:
-            tracemalloc.stop()
-        assert pyramid[0].shape == (1, 256, 128, 128)
-        assert peaks[0] < (128 + 256) * unit + panel + tensor_ops.COLS_BLOCK_BYTES + 2**20
+        # the shipped column blocks, then blocks of one output row of a 3x3 conv
+        for block_bytes, cols in ((tensor_ops.COLS_BLOCK_BYTES, tensor_ops.COLS_BLOCK_BYTES),
+                                  (1, 128 * 9 * 128 * 4)):
+            monkeypatch.setattr(tensor_ops, "COLS_BLOCK_BYTES", block_bytes)
+            peaks.clear()
+            tracemalloc.start()
+            try:
+                pyramid = backbone_forward(
+                    rng.standard_normal((1, 3, 512, 512), dtype=np.float32), spec,
+                    identity_laterals(config.out_channels))
+            finally:
+                tracemalloc.stop()
+            assert pyramid[0].shape == (1, 256, 128, 128)
+            assert peaks[0] < (128 + 256) * unit + panel + cols + 2**20
 
     def test_full_config_channel_plan(self):
         cfg = BackboneConfig()
@@ -487,7 +494,7 @@ class TestBackboneForward:
 def test_fully_fused_backbone_drift_within_budget():
     rng = np.random.default_rng(9)
     spec = build_backbone(tiny_backbone_config(8), random_params(rng))
-    fused = map_blocks(spec, fuse_block)
+    fused = map_tree(spec, Branches, fuse_block)
     img = rng.uniform(-1, 1, size=(1, 3, 128, 128)).astype(np.float32)
     laterals = identity_laterals((8,) * 6)
     for a, b in zip(backbone_forward(img, spec, laterals), backbone_forward(img, fused, laterals)):

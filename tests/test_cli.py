@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import errno
 import hashlib
 import io
 import json
@@ -115,6 +116,27 @@ class TestFuse:
         removed = [l for l in stdout.splitlines() if "parameters" in l][0]
         assert "removed" in removed
 
+    def test_fuse_into_its_own_path(self, tiny_container, tmp_path, capsys):
+        # the input is read whole before the output is opened, which empties it
+        path = tmp_path / "model.acfd"
+        path.write_bytes(tiny_container.read_bytes())
+        want = container.save(fuse_model(container.load(path.read_bytes())))
+        assert main(["fuse", str(path), str(path)]) == 0
+        assert "removed" in capsys.readouterr().out
+        assert path.read_bytes() == want
+
+    def test_read_error_is_one_cannot_read_line(self, tiny_container, tmp_path, capsys,
+                                                monkeypatch):
+        def failing(fd, buffers, offset):
+            raise OSError(errno.EIO, "Input/output error")
+        monkeypatch.setattr(os, "preadv", failing)
+        out = tmp_path / "out.acfd"
+        assert main(["fuse", str(tiny_container), str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"cannot read {tiny_container}: [Errno 5] Input/output error\n"
+        assert not out.exists()
+
     def test_missing_input_is_io_error(self, tmp_path):
         assert main(["fuse", str(tmp_path / "nope.acfd"),
                      str(tmp_path / "out.acfd")]) == 1
@@ -172,7 +194,7 @@ class TestFuse:
         assert not out.exists()
 
     def test_drift_is_nan_when_an_output_is(self, tiny_container):
-        m = container.load_file(tiny_container)
+        m = container.load(tiny_container.read_bytes())  # writable, unlike load_file's
         fused = fuse_model(m)
         model.named_arrays(fused)["head.reg.bias"][-1] = np.nan
         assert np.isnan(verify.fusion_drift(m, fused, 0))
@@ -492,6 +514,26 @@ class TestDetect:
             parts.clear()
         assert len(outputs) == 1 and outputs.pop()
 
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+    def test_full_model_holds_one_block_of_weights_at_a_time(self, ppm_image,
+                                                             full_fused_container, tmp_path):
+        # the child reads its own high-water mark, as ru_maxrss would start at
+        # this process's. Holding the whole 118 MB payload, it peaked at 161 MB
+        script = """
+import sys
+from acfd import cli
+code = cli.main(sys.argv[1:])
+with open("/proc/self/status") as fh:
+    print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
+sys.exit(code)
+"""
+        proc = subprocess.run([sys.executable, "-c", script, "detect", str(ppm_image),
+                               str(full_fused_container), "--single-scale", "128x128",
+                               "--out", str(tmp_path / "out.jsonl")],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) < 110 << 10  # kB
+
     def test_concurrent_scales_return_in_scale_order(self, tiny_container, blas,
                                                      monkeypatch):
         # submitted largest padded grid first; each scale's candidates come back
@@ -683,7 +725,7 @@ class TestDetect:
     @pytest.mark.parametrize("name", ["head.cls.weight", "head.reg.weight"])
     def test_non_finite_head_output_is_one_line_io_error(self, name, ppm_image,
                                                          fused_container, tmp_path):
-        m = container.load_file(fused_container)
+        m = container.load(fused_container.read_bytes())  # writable, unlike load_file's
         model.named_arrays(m)[name].flat[0] = np.nan
         bad = tmp_path / "nan.acfd"
         container.save_file(m, bad)

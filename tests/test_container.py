@@ -1,22 +1,27 @@
 import dataclasses
 import errno
+import gc
 import hashlib
 import json
 import os
 import struct
+import subprocess
+import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from acfd import cli, container
+from acfd import cli
 from acfd.container import (ContainerCorruptionError, ContainerFormatError,
                             load, load_file, save, save_file)
 from acfd.model import (build_model, forward, full_config, fuse_model,
                         named_arrays, tiny_config)
 from acfd.ppm import write_ppm
+from acfd.tensor_ops import ConvSpec, FileMapping, resident, tree_arrays
 
 
 @pytest.fixture(scope="module")
@@ -291,106 +296,245 @@ def _owner(arr: np.ndarray) -> np.ndarray:
 
 class TestOneAlignedPayload:
     @pytest.mark.parametrize("fused", [False, True])
-    def test_entries_are_aligned_views_of_one_buffer(self, tiny_model, fused, tmp_path):
-        source = fuse_model(tiny_model) if fused else tiny_model
+    def test_entries_are_aligned_views_of_one_buffer(self, tiny_model, fused):
+        # load copies a blob's payload into one fresh buffer, which may be written
+        restored = load(save(fuse_model(tiny_model) if fused else tiny_model))
+        arrays = list(named_arrays(restored).values())
+        assert len({id(_owner(a)) for a in arrays}) == 1
+        assert all(a.flags.aligned and a.flags.writeable and a.dtype == np.float32
+                   for a in arrays)
+
+
+def _mapping(arr: np.ndarray):
+    """The object whose buffer an array views through np.frombuffer, or None."""
+    while isinstance(arr.base, np.ndarray):
+        arr = arr.base
+    return getattr(arr.base, "obj", None)
+
+
+def _mapped_rss_kb(path) -> int:
+    """Resident kB of this process's mappings of the file at `path`."""
+    with open("/proc/self/smaps") as fh:
+        lines = fh.read().splitlines()
+    kb, inside = 0, False
+    for line in lines:
+        if not line[:1].isupper():  # a mapping's first line: address range, ..., path
+            inside = line.endswith(" " + str(path))
+        elif inside and line.startswith("Rss:"):
+            kb += int(line.split()[1])
+    return kb
+
+
+needs_smaps = pytest.mark.skipif(not os.path.exists("/proc/self/smaps"),
+                                 reason="reads /proc/self/smaps")
+
+
+class TestMappedLoad:
+    """load_file maps a fused container, and the forward reads each block
+    into memory once per use with ``resident``, through os.preadv, never
+    through the mapping. An unfused container is read whole."""
+
+    def test_entries_are_read_only_views_of_one_mapping(self, tiny_model, tmp_path):
         path = tmp_path / "model.acfd"
-        save_file(source, path)
-        from_file, from_blob = load_file(path), load(path.read_bytes())
-        for restored in (from_file, from_blob):
-            arrays = list(named_arrays(restored).values())
-            owners = {id(_owner(a)) for a in arrays}
-            assert len(owners) == 1
-            assert all(a.flags.aligned and a.dtype == np.float32 for a in arrays)
-        a, b = named_arrays(from_file), named_arrays(from_blob)
-        assert a.keys() == b.keys()
-        for name in a:
-            np.testing.assert_array_equal(a[name], b[name])
-            assert not np.shares_memory(a[name], b[name])
+        save_file(fuse_model(tiny_model), path)
+        from_file, from_blob = named_arrays(load_file(path)), named_arrays(load(path.read_bytes()))
+        mappings = {id(_mapping(a)): _mapping(a) for a in from_file.values()}
+        assert len(mappings) == 1 and isinstance(mappings.popitem()[1], FileMapping)
+        assert from_file.keys() == from_blob.keys()
+        for name, a in from_file.items():
+            assert a.dtype == np.float32 and not a.flags.writeable
+            assert a.tobytes() == from_blob[name].tobytes()
+
+    def test_unfused_entries_are_aligned_views_of_one_read_buffer(self, tiny_model, tmp_path):
+        path = tmp_path / "model.acfd"
+        save_file(tiny_model, path)
+        from_file, from_blob = named_arrays(load_file(path)), named_arrays(load(path.read_bytes()))
+        assert len({id(_owner(a)) for a in from_file.values()}) == 1
+        for name, a in from_file.items():
+            assert a.flags.aligned and a.flags.writeable and _mapping(a) is None
+            assert a.tobytes() == from_blob[name].tobytes()
+
+    def test_unfused_short_read_is_a_changed_payload(self, tiny_model, tmp_path, monkeypatch):
+        # the first read finds the file's end where the header ends, as when
+        # the file is cut after the header is read
+        path = tmp_path / "model.acfd"
+        save_file(tiny_model, path)
+        monkeypatch.setattr(os, "preadv", lambda fd, buffers, offset: 0)
+        with pytest.raises(ContainerCorruptionError, match="^payload changed while reading$"):
+            load_file(path)
+
+    def test_a_mapped_model_saves_over_its_own_file(self, tiny_model, tmp_path):
+        path = tmp_path / "model.acfd"
+        save_file(fuse_model(tiny_model), path)
+        blob = path.read_bytes()
+        save_file(load_file(path), path)
+        assert path.read_bytes() == blob
+
+    def test_resident_keeps_a_tree_that_views_no_mapping(self, tiny_model):
+        stage = tiny_model.backbone.stages[0][0]
+        for tree in (tiny_model.backbone.stem, stage.acbs[0], stage.ese, tiny_model.head.cls_out):
+            assert resident(tree) is tree
+
+    @needs_smaps
+    def test_resident_reads_a_mapped_block_without_its_pages(self, tmp_path):
+        # a 2.4 MB kernel at 2 mod 4, where a payload after the header may start
+        rng = np.random.default_rng(0)
+        weight = rng.standard_normal((256, 256, 3, 3), dtype=np.float32)
+        bias = rng.standard_normal(256, dtype=np.float32)
+        path = tmp_path / "block.bin"
+        path.write_bytes(b"\0\0" + weight.tobytes() + bias.tobytes())
+        with open(path, "rb") as fh:
+            payload = np.frombuffer(FileMapping(fh), np.uint8)[2:]
+        block = ConvSpec(weight=payload[:weight.nbytes].view("<f4").reshape(weight.shape),
+                         bias=payload[weight.nbytes:].view("<f4"), padding=(1, 1))
+        assert not block.weight.flags.aligned
+        for _ in range(2):
+            copy = resident(block)
+            assert copy is not block and copy.padding == (1, 1)
+            for got, want in ((copy.weight, weight), (copy.bias, bias)):
+                assert got.flags.aligned and got.flags.writeable
+                assert got.tobytes() == want.tobytes()
+                assert not np.shares_memory(got, payload)
+            assert _mapped_rss_kb(path) == 0
+        block.weight.sum()  # a read through the mapping maps the pages it touches
+        assert _mapped_rss_kb(path) > weight.nbytes // 1024 * 9 // 10
+
+    @needs_smaps
+    def test_load_and_forward_map_no_page(self, tiny_model, probe, tmp_path):
+        path = tmp_path / "model.acfd"
+        save_file(fuse_model(tiny_model), path)
+        m = load_file(path)
+        out = forward(m, probe)
+        assert _mapped_rss_kb(path) == 0
+        want = forward(load(path.read_bytes()), probe)
+        for got, ref in zip(out.cls + out.reg, want.cls + want.reg, strict=True):
+            assert got.tobytes() == ref.tobytes()
+
+    def test_copies_die_with_the_tree_without_a_gc(self, tiny_model, tmp_path):
+        path = tmp_path / "model.acfd"
+        save_file(fuse_model(tiny_model), path)
+        block = load_file(path).backbone.stages[0][0].acbs[0]
+        gc.disable()
+        try:
+            copy = resident(block)
+            refs = [weakref.ref(a) for a in tree_arrays(copy)]
+            del copy
+            assert [ref() for ref in refs] == [None] * len(refs)
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("cut", ["payload start", "mid payload", "last byte"])
+    def test_file_cut_after_load_is_one_bad_container_line(self, tiny_model, cut, tmp_path):
+        # the file is cut once load_file has mapped it, as when a container is
+        # rewritten in place while a detect runs: the first block past the new
+        # end reads short, so the detect exits 1, and nothing reads the mapping
+        # past the end, which would raise SIGBUS (so it runs in a child)
+        path = tmp_path / "model.acfd"
+        save_file(fuse_model(tiny_model), path)
+        blob = path.read_bytes()
+        start = 13 + struct.unpack_from("<Q", blob, 5)[0]
+        size = {"payload start": start, "mid payload": (start + len(blob)) // 2,
+                "last byte": len(blob) - 1}[cut]
+        image = tmp_path / "scene.ppm"
+        write_ppm(image, np.zeros((4, 4, 3), dtype=np.uint8))
+        script = """
+import os, sys
+from acfd import cli, container
+load_file = container.load_file
+def load_then_cut(path):
+    model = load_file(path)
+    os.truncate(path, int(sys.argv[3]))
+    return model
+container.load_file = load_then_cut
+sys.exit(cli.main(["detect", sys.argv[1], sys.argv[2], "--single-scale", "128x128"]))
+"""
+        proc = subprocess.run([sys.executable, "-c", script, str(image), str(path), str(size)],
+                              capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout) == (cli.EXIT_IO, "")
+        assert proc.stderr == f"bad container {path}: payload changed while reading\n"
+
+
+def _file_offset(arr: np.ndarray) -> int:
+    """The byte of the mapped file where an array of ``load_file`` starts."""
+    root = arr
+    while isinstance(root.base, np.ndarray):
+        root = root.base
+    return arr.__array_interface__["data"][0] - root.__array_interface__["data"][0]
 
 
 class TestPartRead:
-    """load_file reads the payload in contiguous parts at once, with os.preadv."""
+    """The forward reads a mapped container in parts, a block of arrays at a
+    time, each through ``resident``: the copies hold the arrays of the blob,
+    a part that reads short is a changed payload, and a read that fails is
+    one ``cannot read`` line."""
 
     @pytest.fixture()
     def saved(self, tiny_model, tmp_path):
         path = tmp_path / "model.acfd"
-        save_file(tiny_model, path)
+        save_file(fuse_model(tiny_model), path)
         blob = path.read_bytes()
         start = 13 + struct.unpack_from("<Q", blob, 5)[0]
         return path, blob, start
 
     @staticmethod
-    def _cuts(blob, start, parts):
-        """File offsets of each part's first byte."""
-        return [start + (len(blob) - start) * i // parts for i in range(parts)]
-
-    @staticmethod
-    def _in_parts(parts, monkeypatch):
-        """Make load_file read any payload in `parts` parts: one per usable CPU,
-        with parts of a byte or more."""
-        monkeypatch.setattr(container, "usable_cpus", lambda: parts)
-        monkeypatch.setattr(container, "PART_BYTES", 1)
+    def _parts(path, parts):
+        """The names of the container's arrays in payload order, as `parts`
+        contiguous runs, and the file's arrays by name."""
+        arrays = named_arrays(load_file(path))
+        names = sorted(arrays, key=lambda name: _file_offset(arrays[name]))
+        return [names[len(names) * i // parts:len(names) * (i + 1) // parts]
+                for i in range(parts)], arrays
 
     @pytest.mark.parametrize("parts", range(1, 6))
-    def test_parts_load_the_arrays_of_the_blob(self, saved, parts, monkeypatch):
+    def test_parts_load_the_arrays_of_the_blob(self, saved, parts):
         path, blob, start = saved
-        offsets, preadv = [], os.preadv
-        monkeypatch.setattr(os, "preadv", lambda fd, buffers, offset:
-                            offsets.append(offset) or preadv(fd, buffers, offset))
-        self._in_parts(parts, monkeypatch)
-        from_file, from_blob = named_arrays(load_file(path)), named_arrays(load(blob))
-        assert sorted(offsets) == self._cuts(blob, start, parts)
+        runs, from_file = self._parts(path, parts)
+        from_blob = named_arrays(load(blob))
         assert from_file.keys() == from_blob.keys()
-        for name in from_file:
-            assert from_file[name].tobytes() == from_blob[name].tobytes()
-
-    def test_tiny_container_is_one_part(self, saved, monkeypatch):
-        path, blob, start = saved
-        offsets, preadv = [], os.preadv
-        monkeypatch.setattr(os, "preadv", lambda fd, buffers, offset:
-                            offsets.append(offset) or preadv(fd, buffers, offset))
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
-                            raising=False)
-        load_file(path)
-        assert offsets == [start]
-
-    def _detect(self, path, parts, monkeypatch, capsys):
-        """Exit code and stderr of a detect that loads `path` in `parts` parts;
-        asserts that no pool thread outlives the call."""
-        self._in_parts(parts, monkeypatch)
-        before = set(threading.enumerate())
-        image = path.parent / "scene.ppm"
-        write_ppm(image, np.zeros((4, 4, 3), dtype=np.uint8))
-        code = cli.main(["detect", str(image), str(path)])
-        assert set(threading.enumerate()) <= before
-        captured = capsys.readouterr()
-        assert captured.out == "" and "Traceback" not in captured.err
-        return code, captured.err
+        # the runs tile the payload, each array right after the one before
+        end = start
+        for name in (name for run in runs for name in run):
+            assert _file_offset(from_file[name]) == end
+            end += from_file[name].nbytes
+        assert end == len(blob)
+        for run in runs:
+            copies = resident([from_file[name] for name in run])
+            for name, got in zip(run, copies, strict=True):
+                assert got.flags.aligned and got.flags.writeable and _mapping(got) is None
+                assert got.tobytes() == from_blob[name].tobytes()
 
     @pytest.mark.parametrize("parts, short", [(1, 0), (2, 0), (2, 1), (5, 0), (5, 2), (5, 4)])
-    def test_short_read_in_any_part_is_a_changed_payload(self, saved, parts, short,
-                                                        monkeypatch, capsys):
-        # the file ends halfway through part `short`, as if cut while read
+    def test_short_read_in_any_part_is_a_changed_payload(self, saved, parts, short):
+        # the file ends halfway through part `short`, cut once load_file has
+        # mapped it: the earlier parts read whole
         path, blob, start = saved
-        cuts = self._cuts(blob, start, parts) + [len(blob)]
-        end, preadv = (cuts[short] + cuts[short + 1]) // 2, os.preadv
-        monkeypatch.setattr(os, "preadv", lambda fd, buffers, offset: preadv(
-            fd, [memoryview(buffers[0])[:max(0, end - offset)]], offset))
-        code, err = self._detect(path, parts, monkeypatch, capsys)
-        assert code == cli.EXIT_IO
-        assert err == f"bad container {path}: payload changed while reading\n"
+        runs, arrays = self._parts(path, parts)
+        lo = _file_offset(arrays[runs[short][0]])
+        hi = _file_offset(arrays[runs[short][-1]]) + arrays[runs[short][-1]].nbytes
+        os.truncate(path, (lo + hi) // 2)
+        for run in runs[:short]:
+            resident([arrays[name] for name in run])
+        with pytest.raises(ContainerCorruptionError, match="^payload changed while reading$"):
+            resident([arrays[name] for name in runs[short]])
 
     @pytest.mark.parametrize("parts", [2, 5])
     def test_error_in_a_later_part_is_one_cannot_read_line(self, saved, parts,
                                                           monkeypatch, capsys):
+        # every read of part 1 on fails, as on a bad disk sector
         path, blob, start = saved
-        second, preadv = self._cuts(blob, start, parts)[1], os.preadv
+        runs, arrays = self._parts(path, parts)
+        second, preadv = _file_offset(arrays[runs[1][0]]), os.preadv
 
         def failing(fd, buffers, offset):
-            if offset == second:
+            if offset >= second:
                 raise OSError(errno.EIO, "Input/output error")
             return preadv(fd, buffers, offset)
         monkeypatch.setattr(os, "preadv", failing)
-        code, err = self._detect(path, parts, monkeypatch, capsys)
-        assert code == cli.EXIT_IO
-        assert err == f"cannot read {path}: [Errno 5] Input/output error\n"
+        before = set(threading.enumerate())
+        image = path.parent / "scene.ppm"
+        write_ppm(image, np.zeros((4, 4, 3), dtype=np.uint8))
+        assert cli.main(["detect", str(image), str(path)]) == cli.EXIT_IO
+        assert set(threading.enumerate()) <= before
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"cannot read {path}: [Errno 5] Input/output error\n"

@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 from acfd import backbone, container, model, neck
 from acfd.anchors import anchor_count
 from acfd.backbone import BackboneConfig, StageConfig, random_params
-from acfd.fusion import map_blocks
+from acfd.fusion import Branches
 from acfd.model import (ModelConfig, _build, build_model, count_model_macs, forward,
                         full_config, fuse_model, named_arrays, tiny_config)
-from acfd.tensor_ops import COLS_BLOCK_BYTES, ShapeError, conv2d, linear
+from acfd.tensor_ops import COLS_BLOCK_BYTES, ShapeError, conv2d, linear, map_tree
 from acfd.verify import FUSION_DRIFT_BOUND, fusion_drift
 
 
@@ -179,7 +179,7 @@ def test_fusion_drift_within_budget(tiny_model):
 
 def _foldable_blocks(tree) -> list:
     found = []
-    map_blocks(tree, found.append)
+    map_tree(tree, Branches, found.append)
     return found
 
 

@@ -8,10 +8,10 @@ from acfd import neck as neck_module
 from acfd import tensor_ops
 from acfd.backbone import (build_backbone, backbone_forward, random_params,
                            tiny_backbone_config)
-from acfd.fusion import Branches, ConvBn, fuse_block, map_blocks
+from acfd.fusion import Branches, ConvBn, fuse_block
 from acfd.neck import (BifpnSpec, abifpn_forward, bifpn_layer_forward, build_neck,
                        fuse_node, normalized_fusion_weights)
-from acfd.tensor_ops import BNSpec, ConvSpec, ShapeError
+from acfd.tensor_ops import BNSpec, ConvSpec, ShapeError, map_tree
 
 
 def identity_acb(channels):
@@ -131,7 +131,7 @@ class TestAbifpnForward:
     def test_fused_neck_drift_within_budget(self):
         rng = np.random.default_rng(9)
         neck = build_neck((8,) * 6, width=8, repeats=1, param=random_params(rng))
-        fused = map_blocks(neck, fuse_block)
+        fused = map_tree(neck, Branches, fuse_block)
         pyramid = tiny_pyramid(np.random.default_rng(10))
         for a, b in zip(abifpn_forward(pyramid, neck), abifpn_forward(pyramid, fused)):
             assert np.abs(a - b).max() <= 1e-3
