@@ -88,8 +88,11 @@ def _band_chain(x: np.ndarray, blocks: list[Block], concat: bool = False) -> np.
     channels of the panel, or into the output, and before the next band the
     rows still to be read move up to the panel's top. No row is computed
     twice, and every output element is the same dot product as over whole maps.
+
+    The plan reads only shapes, so mapped weights stay unread until each
+    block runs its rows of a band: its ``resident`` copy lives for that one
+    conv, and a multi-band chain reads each block once per band.
     """
-    blocks = resident(blocks)  # once for every band
     convs = [block_conv(block) for block in blocks]
     last = len(blocks)
     n, c, h, w = x.shape
@@ -146,7 +149,7 @@ def _band_chain(x: np.ndarray, blocks: list[Block], concat: bool = False) -> np.
                 panel[:, :c, lo - top:hi - top] = x[:, :, lo:hi]
             elif j and lo < hi:
                 src = panel if concat and j == last else maps[j - 1]
-                relu(block_forward(src[:, :, :end[j - 1] - at[j - 1]], blocks[j - 1],
+                relu(block_forward(src[:, :, :end[j - 1] - at[j - 1]], resident(blocks[j - 1]),
                                    maps[j][:, :, lo - at[j]:hi - at[j]],
                                    lo - at[j - 1] // strides[j - 1]))
     return out

@@ -151,7 +151,8 @@ def _load_json(path):
 
 def _boxes_by_file(entries, what: str, count: int | None = None) -> list[tuple]:
     """(file, (k, 4) float64 boxes) per entry of a JSON list, k == count if given.
-    Raises ValueError on any other shape."""
+    Raises ValueError on any other shape, on a number that is not finite, and
+    on an annotation box (no count) without positive width and height."""
     if not isinstance(entries, list):
         raise ValueError(f"{what}s must be a JSON list, got {type(entries).__name__}")
     out = []
@@ -167,10 +168,15 @@ def _boxes_by_file(entries, what: str, count: int | None = None) -> list[tuple]:
             raise ValueError(f"{what} {i} has boxes that are not numbers") from None
         if boxes.size % 4:
             raise ValueError(f"{what} {i} has {boxes.size} box numbers, not a multiple of 4")
+        boxes = boxes.reshape(-1, 4)
+        if not np.isfinite(boxes).all():
+            raise ValueError(f"{what} {i} has a box number that is not finite")
+        if count is None and (boxes[:, 2:] <= boxes[:, :2]).any():
+            raise ValueError(f"{what} {i} has a box without positive width and height")
         if count is not None and boxes.size != 4 * count:
             raise ValueError(f"{what} {i} has {boxes.size // 4} boxes, not one per anchor "
                              f"({count})")
-        out.append((key, boxes.reshape(-1, 4)))
+        out.append((key, boxes))
     return out
 
 

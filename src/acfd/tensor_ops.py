@@ -13,6 +13,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import itertools
 import mmap
 import os
 import weakref
@@ -219,8 +220,9 @@ def run_parts(part: Callable[[int, int], None], total: int, parts: int,
               pool: Executor | None) -> None:
     """part(lo, hi) over `parts` contiguous ranges of range(total) at once: the
     first on the calling thread, the others in `pool`, which may be None for
-    one part. Returns once every part has ended, raising the first error in
-    range order."""
+    one part. A part may ignore its range and take units from a count it
+    shares with the others, as conv2d's blocks do. Returns once every part
+    has ended, raising the first error in range order."""
     cuts = [total * i // parts for i in range(parts + 1)]
     futures = [pool.submit(part, lo, hi) for lo, hi in zip(cuts[1:-1], cuts[2:])]
     try:
@@ -309,11 +311,13 @@ def conv2d(x: np.ndarray, spec: ConvSpec, out: np.ndarray | None = None,
     from (row0 + i) * sh - ph, counted from x's first row, rows outside x are
     padding, and the output height is out's, which must then be given.
 
-    Inside ``row_workers``, contiguous ranges of the blocks, or of the 1x1
-    path's rows, run at once, each range about PART_MACS or more. A block is
-    the same GEMM on the same operands whoever runs it, and OpenBLAS sums each
+    Inside ``row_workers``, up to one part per PART_MACS runs at once. Each
+    part takes the next block no part has taken until none is left, so a part
+    that is free sooner runs more of them; the 1x1 path's parts run contiguous
+    ranges of its rows. The blocks depend on the shapes alone, and a block is
+    the same GEMM on the same operands whoever runs it; OpenBLAS sums each
     output element of a GEMM this large the same way over a range of its
-    columns as over all of them, so the bytes do not depend on the worker
+    columns as over all of them. So the bytes do not depend on the worker
     count.
     """
     oh, ow = _check_conv_dims(x, spec)
@@ -354,13 +358,14 @@ def conv2d(x: np.ndarray, spec: ConvSpec, out: np.ndarray | None = None,
         rows = max(1, min(oh, (COLS_BLOCK_BYTES // (c * x.itemsize) - (kh - sh) * wp)
                           // (kh * kw * ow + sh * wp)))
         per = -(-oh // rows)
+        dealt = itertools.count()  # next() is atomic under the GIL: each block goes to one part
 
-        def part(u0, u1):  # a unit is one block
+        def part(u0, u1):  # a unit is one block, dealt to whichever part is free
             cols = np.empty((c, kh, kw, rows, ow), dtype=x.dtype)
             # zeroed once: its pad columns are never written
             strip = np.zeros((c, (rows - 1) * sh + kh, wp), dtype=x.dtype)
             s_c, s_y, s_x = strip.strides
-            for u in range(u0, u1):
+            for u in itertools.takewhile(lambda u: u < n * per, dealt):
                 b, r0 = u // per, u % per * rows
                 r = min(rows, oh - r0)
                 y0, span = (row0 + r0) * sh - ph, (r - 1) * sh + kh

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from acfd import cli
+from acfd import backbone, cli
 from acfd.container import (ContainerCorruptionError, ContainerFormatError,
                             load, load_file, save, save_file)
 from acfd.model import (build_model, forward, full_config, fuse_model,
@@ -422,6 +422,35 @@ class TestMappedLoad:
             assert [ref() for ref in refs] == [None] * len(refs)
         finally:
             gc.enable()
+
+    def test_a_banded_chain_holds_one_conv_of_weights_at_a_time(self, tmp_path, monkeypatch):
+        # stage 3's first block of the full fused model at 512x512 runs its
+        # chain of five 3x3 convs and the projection in two bands: whenever a
+        # conv runs, the only live copies of mapped weights are its own
+        path = tmp_path / "full.acfd"
+        save_file(fuse_model(build_model(full_config(), seed=1)), path)
+        block = load_file(path).backbone.stages[2][0]
+        copies, convs = [], []
+        read, run = backbone.resident, backbone.block_forward
+
+        def traced_read(tree):
+            copy = read(tree)
+            copies.extend(weakref.ref(a) for a in tree_arrays(copy))
+            return copy
+
+        def checked_run(x, conv, *args):
+            live = [a for a in (ref() for ref in copies) if a is not None]
+            convs.append(bool(live) and all(any(a is b for b in tree_arrays(conv)) for a in live))
+            return run(x, conv, *args)
+        monkeypatch.setattr(backbone, "resident", traced_read)
+        monkeypatch.setattr(backbone, "block_forward", checked_run)
+        x = np.random.default_rng(2).standard_normal((1, 512, 32, 32), dtype=np.float32)
+        gc.disable()
+        try:
+            backbone.aosa_forward(x, block)
+        finally:
+            gc.enable()
+        assert len(convs) > len(block.acbs) + 1 and all(convs)
 
     @pytest.mark.parametrize("cut", ["payload start", "mid payload", "last byte"])
     def test_file_cut_after_load_is_one_bad_container_line(self, tiny_model, cut, tmp_path):

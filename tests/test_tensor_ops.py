@@ -1,4 +1,7 @@
 import itertools
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -291,15 +294,63 @@ class TestConv2d:
                        buf[:, 1:129, lo:hi], 1)
             return buf
 
-        parts = []
+        calls = []
         run_parts = tensor_ops.run_parts
         monkeypatch.setattr(tensor_ops, "run_parts", lambda part, total, count, pool:
-                            parts.append(count) or run_parts(part, total, count, pool))
+                            calls.append((total, count)) or run_parts(part, total, count, pool))
         want = run()
         for workers in (1, 2, 3):
             with tensor_ops.row_workers(workers):
                 assert run().tobytes() == want.tobytes(), workers
+        parts = [count for _, count in calls]
         assert parts[:3] == [1, 1, 2] and parts[3] in (2, 3)
+        if kernel == (1, 1):  # its parts run contiguous ranges of rows
+            return
+        # one-row blocks, and the calling thread's GEMMs slowed: the pool
+        # thread takes the blocks the caller would have run, beyond its half
+        # of a static split; each block still runs once, into its own rows,
+        # and the bytes are one thread's
+        set_block_rows(monkeypatch, 1, x, spec)
+        want = run()
+        caller, ran = threading.current_thread(), []
+        matmul = np.matmul
+
+        def slowed(a, b, out):
+            mine = threading.current_thread() is caller
+            ran.append((mine, out.ctypes.data))
+            if mine:
+                time.sleep(0.05)
+            return matmul(a, b, out=out)
+        monkeypatch.setattr(np, "matmul", slowed)
+        with tensor_ops.row_workers(2):
+            assert run().tobytes() == want.tobytes()
+        blocks = calls[-1][0]
+        assert len(ran) == len({at for _, at in ran}) == blocks
+        assert sum(mine for mine, _ in ran) < blocks // 2
+
+    def test_dealt_blocks_run_once_with_more_workers_than_cpus(self, monkeypatch):
+        # four parts take 80 one-row blocks from their shared count while the
+        # interpreter switches threads every microsecond: a block dealt twice
+        # or never would show as a repeated or missing output address
+        rng = np.random.default_rng(20)
+        x = rng.standard_normal((2, 128, 40, 48), dtype=np.float32)
+        spec = make_conv(rng.normal(size=(128, 128, 3, 3)), padding=(1, 1))
+        set_block_rows(monkeypatch, 1, x, spec)
+        want = conv2d(x, spec)
+        ran, matmul, parts, run_parts = [], np.matmul, [], tensor_ops.run_parts
+        monkeypatch.setattr(np, "matmul", lambda a, b, out:
+                            ran.append(out.ctypes.data) or matmul(a, b, out=out))
+        monkeypatch.setattr(tensor_ops, "run_parts", lambda part, total, count, pool:
+                            parts.append(count) or run_parts(part, total, count, pool))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with tensor_ops.row_workers(4):
+                got = conv2d(x, spec)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got.tobytes() == want.tobytes()
+        assert parts == [4] and len(ran) == len(set(ran)) == 80
 
     def test_one_output_channel_splits_by_images(self, monkeypatch):
         # numpy runs a one-row weight as a matrix-vector product, whose sums
