@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .backbone import Block, Param, block_forward, check_grid, named_acb, named_conv
-from .tensor_ops import ConvSpec, conv2d, relu, resident
+from .tensor_ops import ConvSpec, conv2d, relu
 
 STRIDES = (4, 8, 16, 32, 64, 128)
 ANCHOR_SCALE = 4
@@ -114,10 +114,9 @@ def head_forward(pyramid: list[np.ndarray], head: HeadSpec) -> HeadOutput:
     while pyramid:
         t = pyramid.pop(0)
         for block in head.tower:
-            t = relu(block_forward(t, resident(block)))
-        cls_out, reg_out = resident([head.cls_out, head.reg_out])
-        out.cls.append(conv2d(t, cls_out))
-        out.reg.append(conv2d(t, reg_out))
+            t = relu(block_forward(t, block))
+        out.cls.append(conv2d(t, head.cls_out))
+        out.reg.append(conv2d(t, head.reg_out))
     return out
 
 

@@ -17,8 +17,8 @@ import numpy as np
 
 from .fusion import Block, Branches, ConvBn, acb_forward, block_conv
 from .tensor_ops import (BNSpec, ConvSpec, ShapeError, check_tensor4,
-                         concat_channels, conv2d, conv_output_shape, global_avg_pool,
-                         linear, max_pool2d, relu, resident, sigmoid)
+                         concat_channels, conv2d, conv_output_shape, linear,
+                         max_pool2d, relu, sigmoid)
 
 POOL_KERNEL = (3, 3)
 POOL_STRIDE = (2, 2)
@@ -59,8 +59,7 @@ def ese_attention(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.nda
     c = x.shape[1]
     if weight.shape != (c, c):
         raise ShapeError(f"ese weight {weight.shape} != ({c},{c})")
-    pooled = global_avg_pool(x)[:, :, 0, 0]
-    gate = sigmoid(linear(pooled, weight, bias))
+    gate = sigmoid(linear(x.mean(axis=(2, 3)), weight, bias))
     x *= gate[:, :, None, None]
     return x
 
@@ -88,10 +87,6 @@ def _band_chain(x: np.ndarray, blocks: list[Block], concat: bool = False) -> np.
     channels of the panel, or into the output, and before the next band the
     rows still to be read move up to the panel's top. No row is computed
     twice, and every output element is the same dot product as over whole maps.
-
-    The plan reads only shapes, so mapped weights stay unread until each
-    block runs its rows of a band: its ``resident`` copy lives for that one
-    conv, and a multi-band chain reads each block once per band.
     """
     convs = [block_conv(block) for block in blocks]
     last = len(blocks)
@@ -149,7 +144,7 @@ def _band_chain(x: np.ndarray, blocks: list[Block], concat: bool = False) -> np.
                 panel[:, :c, lo - top:hi - top] = x[:, :, lo:hi]
             elif j and lo < hi:
                 src = panel if concat and j == last else maps[j - 1]
-                relu(block_forward(src[:, :, :end[j - 1] - at[j - 1]], resident(blocks[j - 1]),
+                relu(block_forward(src[:, :, :end[j - 1] - at[j - 1]], blocks[j - 1],
                                    maps[j][:, :, lo - at[j]:hi - at[j]],
                                    lo - at[j - 1] // strides[j - 1]))
     return out
@@ -161,8 +156,7 @@ def aosa_forward(x: np.ndarray, spec: AosaSpec) -> np.ndarray:
     and the residual."""
     check_tensor4(x)
     out = _band_chain(x, [*spec.acbs, spec.projection], concat=True)
-    ese = resident(spec.ese)
-    out = ese_attention(out, ese.weight, ese.bias)
+    out = ese_attention(out, spec.ese.weight, spec.ese.bias)
     if spec.residual:
         out += x
     return out
@@ -191,7 +185,7 @@ def backbone_forward(image: np.ndarray, spec: BackboneSpec,
             held.append(aosa_forward(held.pop(), block))
         if idx + 1 < len(spec.stages):  # the pool first, so that the output dies in its lateral
             held.insert(0, max_pool2d(held[0], POOL_KERNEL, POOL_STRIDE, POOL_PAD))
-        levels.append(block_forward(held.pop(), resident(laterals[idx])))
+        levels.append(block_forward(held.pop(), laterals[idx]))
     return levels
 
 

@@ -60,24 +60,28 @@ def _from_payload(header: dict, payload: np.ndarray) -> DetectorModel:
     """The model the config builds, each parameter a float32 view of the
     payload's bytes, aligned when the payload is (4-byte entry sizes keep
     them so). As the build asks for parameter k, entry k must be the one
-    ``save`` writes for its name and shape at the running offset."""
+    ``save`` writes for its name and shape at the running offset, with JSON
+    integers where it writes them: not 4.0 or true for 4 or 1."""
     try:
         config = ModelConfig.from_dict(header["config"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ContainerCorruptionError(f"bad config: {exc!r}") from exc
     entries = iter(header["entries"])
+    floats = payload[:len(payload) // 4 * 4].view("<f4")  # entries hold whole floats
     offset = 0
 
     def take(name, shape, draw):
         nonlocal offset
         expected = _entry(name, shape, offset)
-        if next(entries, None) != expected:
+        got = next(entries, None)
+        if got != expected or {type(got["offset"]), type(got["size"]),
+                               *map(type, got["dims"])} != {int}:
             raise ContainerCorruptionError(
                 f"entry {name}: not the entry save writes, {expected}")
         offset += expected["size"]
         if offset > len(payload):
             raise ContainerCorruptionError(f"entry {name}: payload out of bounds")
-        return payload[offset - expected["size"]:offset].view("<f4").reshape(shape)
+        return floats[(offset - expected["size"]) // 4:offset // 4].reshape(shape)
     model = _build(config, take, header["fused"])
     if next(entries, None) is not None:
         raise ContainerCorruptionError("entries past the last parameter the config names")
@@ -107,9 +111,9 @@ def _read_header(fh) -> dict:
         raise ContainerCorruptionError(f"unreadable header: {exc}") from exc
     if not isinstance(header, dict):
         raise ContainerCorruptionError("header is not a JSON object")
-    if header.get("format_version") != FORMAT_VERSION:
-        raise ContainerFormatError(
-            f"unsupported format version {header.get('format_version')}")
+    version = header.get("format_version")
+    if type(version) is not int or version != FORMAT_VERSION:  # not 1.0 or true
+        raise ContainerFormatError(f"unsupported format version {version}")
     for key, kind in (("entries", list), ("config", dict), ("fused", bool)):
         if not isinstance(header.get(key), kind):
             raise ContainerCorruptionError(f"header field {key!r} is not a {kind.__name__}")
@@ -137,11 +141,12 @@ def load_file(path) -> DetectorModel:
     """The model of the container file at `path`. A fused container is mapped
     and no payload byte is read: each parameter is a read-only float32 view of
     one read-only ``tensor_ops.FileMapping`` of the file, unaligned unless the
-    payload is, which the forward reads into memory a block at a time through
-    ``tensor_ops.resident``. An unfused one, the train-time form ``fuse``
-    folds, is read whole into one aligned buffer with os.preadv: its build
-    checks every batch-norm variance, which a mapping would read entry by
-    entry, and its blocks hold five arrays per branch."""
+    payload is. ``conv2d`` and ``linear`` read their weight and bias from the
+    file into memory per call, and ``fuse_node`` its fusion weights, so no
+    page of the mapping is faulted in. An unfused one, the train-time form
+    ``fuse`` folds, is read whole into one aligned buffer with os.preadv: its
+    build checks every batch-norm variance, which a mapping would read entry
+    by entry, and its blocks hold five arrays per branch."""
     with open(path, "rb") as fh:
         header = _read_header(fh)
         start = fh.tell()

@@ -34,9 +34,11 @@ def fuse_node(inputs: list[np.ndarray], weights, acb: Block) -> np.ndarray:
     the others' weighted sum is added one chunk of channels at a time, of at
     most COLS_BLOCK_BYTES (4 MiB chunks raised a full-model 512x512 detect's
     peak by 5 MB). That last add is a single IEEE add, which is commutative,
-    so each element is the same float as the sum in input order.
+    so each element is the same float as the sum in input order. The fusion
+    weights are read with ``resident``, the ACB's by its convs.
     """
-    if len(inputs) != len(np.atleast_1d(weights)):
+    (weights,) = resident(np.atleast_1d(weights))
+    if len(inputs) != len(weights):
         raise ShapeError(f"{len(inputs)} inputs but {len(weights)} fusion weights")
     shape = inputs[0].shape
     for t in inputs[1:]:
@@ -91,12 +93,12 @@ def bifpn_layer_forward(levels: list[np.ndarray], layer: BifpnLayerSpec) -> list
     finest, levels = [levels[0]], [None, *levels[1:]]
     td = [None] * n
     td[n - 1] = levels[n - 1]
-    for i, node in zip(range(n - 2, -1, -1), map(resident, layer.td_nodes)):
+    for i, node in zip(range(n - 2, -1, -1), layer.td_nodes):
         td[i] = fuse_node([levels[i] if i else finest.pop(), resize_nearest(td[i + 1], hw[i])],
                           node.weights, node.acb)
     out = [None] * n
     out[0] = td[0]
-    for i, node in zip(range(1, n), map(resident, layer.bu_nodes)):
+    for i, node in zip(range(1, n), layer.bu_nodes):
         # grid sides are multiples of 128, so the pool halves each level exactly
         own = [levels[i], td[i]] if i < n - 1 else [levels[i]]
         out[i] = fuse_node([*own, max_pool2d(out[i - 1], POOL_KERNEL, POOL_STRIDE, POOL_PAD)],

@@ -170,27 +170,27 @@ def _file_at(a: np.ndarray) -> tuple[int, int] | None:
     return mapping.fd, a.__array_interface__["data"][0] - mapping.address
 
 
-def resident(tree):
-    """A spec tree of one container's arrays as the forward reads them: the
-    tree itself when its first array views no ``FileMapping``, else the tree
-    with every array read from the file into an aligned private one by one
-    os.preadv, so that the forward never faults in a page of the mapping. The
-    arrays must tile one span of the file in field order, as those of any
-    block of a loaded model do. A short read raises ContainerCorruptionError,
-    as the file has changed since the load, and a failed one OSError."""
-    arrays = tree_arrays(tree)
-    at = _file_at(arrays[0]) if arrays else None
+def resident(*arrays):
+    """The arrays as an op reads them: the arrays themselves when the first
+    views no ``FileMapping``, else aligned private copies read from the file
+    by one os.preadv, so that the op never faults in a page of the mapping;
+    a None passes through. The arrays must tile one span of the file in
+    order, as a loaded conv's weight and bias do. A short read raises
+    ContainerCorruptionError, as the file has changed since the load, and a
+    failed one OSError."""
+    at = _file_at(arrays[0])
     if at is None:
-        return tree
+        return arrays
     fd, lo = at
-    copies = [np.empty(a.shape, a.dtype) for a in arrays]
-    size = sum(c.nbytes for c in copies)
-    if _file_at(arrays[-1]) != (fd, lo + size - arrays[-1].nbytes):
-        raise ValueError("the tree's arrays do not tile one span of one file")
-    if os.preadv(fd, copies, lo) != size:
+    copies = tuple(None if a is None else np.empty(a.shape, a.dtype) for a in arrays)
+    read = [c for c in copies if c is not None]
+    size = sum(c.nbytes for c in read)
+    last = [a for a in arrays if a is not None][-1]
+    if _file_at(last) != (fd, lo + size - last.nbytes):
+        raise ValueError("the arrays do not tile one span of one file")
+    if os.preadv(fd, read, lo) != size:
         raise ContainerCorruptionError("payload changed while reading")
-    copies = iter(copies)
-    return map_tree(tree, np.ndarray, lambda a: next(copies))
+    return copies
 
 
 # Bytes of im2col columns, with the padded input rows they are copied from, that
@@ -216,17 +216,15 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def run_parts(part: Callable[[int, int], None], total: int, parts: int,
-              pool: Executor | None) -> None:
-    """part(lo, hi) over `parts` contiguous ranges of range(total) at once: the
-    first on the calling thread, the others in `pool`, which may be None for
-    one part. A part may ignore its range and take units from a count it
-    shares with the others, as conv2d's blocks do. Returns once every part
-    has ended, raising the first error in range order."""
-    cuts = [total * i // parts for i in range(parts + 1)]
-    futures = [pool.submit(part, lo, hi) for lo, hi in zip(cuts[1:-1], cuts[2:])]
+def run_parts(part: Callable[[], None], parts: int, pool: Executor | None) -> None:
+    """part() `parts` times at once: once on the calling thread, the others in
+    `pool`, which may be None for one part. The parts share the work by taking
+    units from one count, as conv2d's blocks do. Returns once every part has
+    ended, raising the calling thread's error first, then the pool's in
+    submission order."""
+    futures = [pool.submit(part) for _ in range(parts - 1)]
     try:
-        part(cuts[0], cuts[1])
+        part()
     finally:
         for future in futures:
             future.exception()  # waits for the part to end
@@ -313,12 +311,14 @@ def conv2d(x: np.ndarray, spec: ConvSpec, out: np.ndarray | None = None,
 
     Inside ``row_workers``, up to one part per PART_MACS runs at once. Each
     part takes the next block no part has taken until none is left, so a part
-    that is free sooner runs more of them; the 1x1 path's parts run contiguous
-    ranges of its rows. The blocks depend on the shapes alone, and a block is
-    the same GEMM on the same operands whoever runs it; OpenBLAS sums each
-    output element of a GEMM this large the same way over a range of its
-    columns as over all of them. So the bytes do not depend on the worker
-    count.
+    that is free sooner runs more of them. A 1x1 conv's block is one part's
+    share of an image's rows, or the whole image with one output channel. The
+    blocks depend on the shapes and the part count alone, and a block is the
+    same GEMM on the same operands whoever runs it; OpenBLAS sums each output
+    element of a GEMM this large the same way over a range of its columns as
+    over all of them. So the bytes do not depend on the worker count.
+
+    The weight and bias are read with ``resident`` for this call alone.
     """
     oh, ow = _check_conv_dims(x, spec)
     if row0 is not None:
@@ -331,7 +331,6 @@ def conv2d(x: np.ndarray, spec: ConvSpec, out: np.ndarray | None = None,
     kh, kw = spec.kh, spec.kw
     sh, sw = spec.stride
     ph, pw = spec.padding
-    weight = spec.weight.reshape(spec.out_c, -1)
     if out is None:
         out = np.empty((n, spec.out_c, oh, ow), dtype=x.dtype)
     elif out.shape != (n, spec.out_c, oh, ow) or out.dtype != x.dtype:
@@ -340,34 +339,37 @@ def conv2d(x: np.ndarray, spec: ConvSpec, out: np.ndarray | None = None,
     out_rows = out.transpose(1, 0, 2, 3).reshape(spec.out_c, n, oh * ow)
     if not np.may_share_memory(out_rows, out):  # a copy: the writes would be lost
         raise ShapeError(f"out with strides {out.strides} has no (out_c, n, oh*ow) view")
-    if (kh, kw, sh, sw, ph, pw) == (1, 1, 1, 1, 0, 0):
-        # a unit is one output row, or a whole image with one output channel:
-        # numpy runs that as a matrix-vector product, whose sums move with its width
-        rows = oh if spec.out_c == 1 else 1
-        per = oh // rows
+    weight, bias = resident(spec.weight, spec.bias)
+    weight = weight.reshape(spec.out_c, -1)
+    pool, workers = _row_pool.get()
+    parts = max(1, min(workers, n * oh, n * oh * ow * weight.size // PART_MACS))
+    dealt = itertools.count()  # next() is atomic under the GIL: each block goes to one part
 
-        def part(u0, u1):
-            # each image's rows in the range are the column matrix (a view when
-            # contiguous per channel)
-            for b in range(u0 // per, (u1 - 1) // per + 1):
-                lo, hi = max(u0 - b * per, 0) * rows, min((u1 - b * per) * rows, oh)
-                np.matmul(weight, x[b, :, row0 + lo:row0 + hi].reshape(c, (hi - lo) * w),
-                          out=out_rows[:, b, lo * w:hi * w])
+    def blocks():  # (image, first output row, rows) of each block a part takes,
+        # of `per` blocks of `rows` rows per image, set by the path below
+        for u in itertools.takewhile(lambda u: u < n * per, dealt):
+            b, r0 = u // per, u % per * rows
+            yield b, r0, min(rows, oh - r0)
+    if (kh, kw, sh, sw, ph, pw) == (1, 1, 1, 1, 0, 0):
+        # numpy runs a one-row weight as a matrix-vector product, whose sums
+        # move with its width, so that one takes whole images
+        rows = oh if spec.out_c == 1 else -(-oh // parts)
+
+        def part():  # a block's input rows are its column matrix, a view when
+            for b, r0, r in blocks():  # contiguous per channel
+                np.matmul(weight, x[b, :, row0 + r0:row0 + r0 + r].reshape(c, r * w),
+                          out=out_rows[:, b, r0 * w:(r0 + r) * w])
     else:
         wp = w + 2 * pw  # the budget holds r rows of columns and (r - 1)*sh + kh strip rows
         rows = max(1, min(oh, (COLS_BLOCK_BYTES // (c * x.itemsize) - (kh - sh) * wp)
                           // (kh * kw * ow + sh * wp)))
-        per = -(-oh // rows)
-        dealt = itertools.count()  # next() is atomic under the GIL: each block goes to one part
 
-        def part(u0, u1):  # a unit is one block, dealt to whichever part is free
+        def part():
             cols = np.empty((c, kh, kw, rows, ow), dtype=x.dtype)
             # zeroed once: its pad columns are never written
             strip = np.zeros((c, (rows - 1) * sh + kh, wp), dtype=x.dtype)
             s_c, s_y, s_x = strip.strides
-            for u in itertools.takewhile(lambda u: u < n * per, dealt):
-                b, r0 = u // per, u % per * rows
-                r = min(rows, oh - r0)
+            for b, r0, r in blocks():
                 y0, span = (row0 + r0) * sh - ph, (r - 1) * sh + kh
                 lo = max(y0, 0)
                 hi = max(lo, min(y0 + span, h))
@@ -380,11 +382,10 @@ def conv2d(x: np.ndarray, spec: ConvSpec, out: np.ndarray | None = None,
                                                (s_c, s_y, s_x, sh * s_y, sw * s_x))
                 np.matmul(weight, cols.reshape(-1, rows * ow)[:, :r * ow],
                           out=out_rows[:, b, r0 * ow:(r0 + r) * ow])
-    pool, workers = _row_pool.get()
-    macs = n * oh * ow * weight.size
-    run_parts(part, n * per, max(1, min(workers, n * per, macs // PART_MACS)), pool)
-    if spec.bias is not None:
-        out += spec.bias[:, None, None]
+    per = -(-oh // rows)
+    run_parts(part, min(parts, n * per), pool)
+    if bias is not None:
+        out += bias[:, None, None]
     return out
 
 
@@ -443,17 +444,14 @@ def max_pool2d(x: np.ndarray, kernel: tuple[int, int], stride: tuple[int, int],
     return out
 
 
-def global_avg_pool(x: np.ndarray) -> np.ndarray:
-    check_tensor4(x)
-    return x.mean(axis=(2, 3), keepdims=True)
-
-
 def linear(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """out = weight @ x + bias, applied per row for batched input."""
+    """out = weight @ x + bias, applied per row for batched input; the weight
+    and bias are read with ``resident`` for this call alone."""
     if weight.ndim != 2 or x.shape[-1] != weight.shape[1]:
         raise ShapeError(f"linear: input {x.shape} incompatible with weight {weight.shape}")
     if bias.shape != (weight.shape[0],):
         raise ShapeError(f"linear: bias {bias.shape} != out features {weight.shape[0]}")
+    weight, bias = resident(weight, bias)
     return x @ weight.T + bias
 
 

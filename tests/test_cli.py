@@ -510,8 +510,8 @@ class TestDetect:
             pytest.skip("numpy's OpenBLAS has no thread hook")
         outputs, parts = set(), []
         run_parts = tensor_ops.run_parts
-        monkeypatch.setattr(tensor_ops, "run_parts", lambda part, total, count, pool:
-                            parts.append(count) or run_parts(part, total, count, pool))
+        monkeypatch.setattr(tensor_ops, "run_parts", lambda part, count, pool:
+                            parts.append(count) or run_parts(part, count, pool))
         for cpus in (1, 2, 3):
             monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
             out = tmp_path / f"{cpus}.jsonl"
@@ -676,8 +676,20 @@ sys.exit(code)
         lambda h: {**h, "config": _without(h["config"], "neck_width")},
         lambda h: {**h, "entries": [_without(h["entries"][0], "dims"), *h["entries"][1:]]},
         lambda h: {**h, "entries": [{**h["entries"][0], "offset": "0"}, *h["entries"][1:]]},
+        # JSON numbers that equal the integers save writes, but are not integers
+        lambda h: {**h, "format_version": True},
+        lambda h: {**h, "format_version": 1.0},
+        lambda h: {**h, "entries": [{**h["entries"][0], "offset": 0.0}, *h["entries"][1:]]},
+        lambda h: {**h, "entries": [{**h["entries"][0], "offset": False}, *h["entries"][1:]]},
+        lambda h: {**h, "entries": [{**e, "size": float(e["size"])} for e in h["entries"]]},
+        lambda h: {**h, "entries": [{**e, "dims": [d if d != 1 else True for d in e["dims"]]}
+                                    for e in h["entries"]]},
+        lambda h: {**h, "entries": [{**e, "dims": [float(d) for d in e["dims"]]}
+                                    for e in h["entries"]]},
     ], ids=["version-only", "no-config", "fused-string", "config-key-missing",
-            "entry-no-dims", "entry-offset-string"])
+            "entry-no-dims", "entry-offset-string", "version-true", "version-float",
+            "entry-offset-float", "entry-offset-false", "entry-size-float",
+            "entry-dims-true", "entry-dims-float"])
     def test_bad_container_header_is_one_line_io_error(self, edit, ppm_image,
                                                        fused_container, tmp_path,
                                                        capsys):

@@ -15,13 +15,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from acfd import backbone, cli
+from acfd import backbone, cli, tensor_ops
 from acfd.container import (ContainerCorruptionError, ContainerFormatError,
                             load, load_file, save, save_file)
 from acfd.model import (build_model, forward, full_config, fuse_model,
                         named_arrays, tiny_config)
 from acfd.ppm import write_ppm
-from acfd.tensor_ops import ConvSpec, FileMapping, resident, tree_arrays
+from acfd.tensor_ops import ConvSpec, FileMapping, conv2d, linear, resident
 
 
 @pytest.fixture(scope="module")
@@ -180,13 +180,36 @@ def _listed_twice(entries):
     return bytes(last["size"])
 
 
+# JSON numbers equal to the integers save writes, which are not integers
+def _float_offset(entries):
+    entries[0]["offset"] = 0.0
+
+
+def _false_offset(entries):
+    entries[0]["offset"] = False
+
+
+def _float_size(entries):
+    entries[-1]["size"] = float(entries[-1]["size"])
+
+
+def _true_dims(entries):
+    for entry in entries:
+        entry["dims"] = [True if d == 1 else d for d in entry["dims"]]
+
+
+def _float_dims(entries):
+    entries[0]["dims"] = [float(d) for d in entries[0]["dims"]]
+
+
 class TestEntriesTileThePayload:
     def test_unedited_rebuild_loads(self, tiny_model):
         blob = save(tiny_model)
         assert save(load(_with_entries(blob, lambda entries: None))) == blob
 
     @pytest.mark.parametrize("edit", [_trailing_bytes, _overlap, _gap, _out_of_order,
-                                      _listed_twice])
+                                      _listed_twice, _float_offset, _false_offset,
+                                      _float_size, _true_dims, _float_dims])
     def test_rejected(self, tiny_model, edit):
         with pytest.raises(ContainerCorruptionError):
             load(_with_entries(save(tiny_model), edit))
@@ -221,7 +244,8 @@ def test_one_edited_entry_field_is_rejected(tiny_model, data):
     value = data.draw(_FIELD_VALUES, label="value")
 
     def edit(entries):
-        assume(value != entries[index][field])
+        # 4.0 or true for 4 or 1 is an edit too
+        assume(value != entries[index][field] or type(value) is not type(entries[index][field]))
         entries[index][field] = value
     with pytest.raises(ContainerCorruptionError):
         load(_with_entries(blob, edit))
@@ -330,9 +354,9 @@ needs_smaps = pytest.mark.skipif(not os.path.exists("/proc/self/smaps"),
 
 
 class TestMappedLoad:
-    """load_file maps a fused container, and the forward reads each block
-    into memory once per use with ``resident``, through os.preadv, never
-    through the mapping. An unfused container is read whole."""
+    """load_file maps a fused container, and ``conv2d`` and ``linear`` read
+    their weight and bias into memory per call with ``resident``, through
+    os.preadv, never through the mapping. An unfused container is read whole."""
 
     def test_entries_are_read_only_views_of_one_mapping(self, tiny_model, tmp_path):
         path = tmp_path / "model.acfd"
@@ -370,10 +394,13 @@ class TestMappedLoad:
         save_file(load_file(path), path)
         assert path.read_bytes() == blob
 
-    def test_resident_keeps_a_tree_that_views_no_mapping(self, tiny_model):
+    def test_resident_keeps_arrays_that_view_no_mapping(self, tiny_model):
         stage = tiny_model.backbone.stages[0][0]
-        for tree in (tiny_model.backbone.stem, stage.acbs[0], stage.ese, tiny_model.head.cls_out):
-            assert resident(tree) is tree
+        square = stage.acbs[0].branches[0].conv  # biased by its batch norm alone
+        for arrays in ((square.weight, square.bias), (stage.ese.weight, stage.ese.bias),
+                       (tiny_model.head.cls_out.weight, tiny_model.head.cls_out.bias)):
+            got = resident(*arrays)
+            assert len(got) == len(arrays) and all(a is b for a, b in zip(got, arrays))
 
     @needs_smaps
     def test_resident_reads_a_mapped_block_without_its_pages(self, tmp_path):
@@ -385,18 +412,24 @@ class TestMappedLoad:
         path.write_bytes(b"\0\0" + weight.tobytes() + bias.tobytes())
         with open(path, "rb") as fh:
             payload = np.frombuffer(FileMapping(fh), np.uint8)[2:]
-        block = ConvSpec(weight=payload[:weight.nbytes].view("<f4").reshape(weight.shape),
-                         bias=payload[weight.nbytes:].view("<f4"), padding=(1, 1))
-        assert not block.weight.flags.aligned
+        mapped = (payload[:weight.nbytes].view("<f4").reshape(weight.shape),
+                  payload[weight.nbytes:].view("<f4"))
+        assert not mapped[0].flags.aligned
+        x = rng.standard_normal((1, 256, 8, 8), dtype=np.float32)
+        rows = rng.standard_normal((2, 256 * 9), dtype=np.float32)
+        want_conv = conv2d(x, ConvSpec(weight, bias, padding=(1, 1))).tobytes()
+        want_linear = linear(rows, weight.reshape(256, -1), bias).tobytes()
         for _ in range(2):
-            copy = resident(block)
-            assert copy is not block and copy.padding == (1, 1)
-            for got, want in ((copy.weight, weight), (copy.bias, bias)):
+            copies = resident(*mapped)
+            assert resident(mapped[0], None)[1] is None
+            for got, want in zip(copies, (weight, bias), strict=True):
                 assert got.flags.aligned and got.flags.writeable
                 assert got.tobytes() == want.tobytes()
                 assert not np.shares_memory(got, payload)
+            assert conv2d(x, ConvSpec(*mapped, padding=(1, 1))).tobytes() == want_conv
+            assert linear(rows, mapped[0].reshape(256, -1), mapped[1]).tobytes() == want_linear
             assert _mapped_rss_kb(path) == 0
-        block.weight.sum()  # a read through the mapping maps the pages it touches
+        mapped[0].sum()  # a read through the mapping maps the pages it touches
         assert _mapped_rss_kb(path) > weight.nbytes // 1024 * 9 // 10
 
     @needs_smaps
@@ -410,15 +443,15 @@ class TestMappedLoad:
         for got, ref in zip(out.cls + out.reg, want.cls + want.reg, strict=True):
             assert got.tobytes() == ref.tobytes()
 
-    def test_copies_die_with_the_tree_without_a_gc(self, tiny_model, tmp_path):
+    def test_copies_die_without_a_gc(self, tiny_model, tmp_path):
         path = tmp_path / "model.acfd"
         save_file(fuse_model(tiny_model), path)
-        block = load_file(path).backbone.stages[0][0].acbs[0]
+        conv = load_file(path).backbone.stages[0][0].acbs[0]
         gc.disable()
         try:
-            copy = resident(block)
-            refs = [weakref.ref(a) for a in tree_arrays(copy)]
-            del copy
+            copies = resident(conv.weight, conv.bias)
+            refs = [weakref.ref(a) for a in copies]
+            del copies
             assert [ref() for ref in refs] == [None] * len(refs)
         finally:
             gc.enable()
@@ -426,31 +459,35 @@ class TestMappedLoad:
     def test_a_banded_chain_holds_one_conv_of_weights_at_a_time(self, tmp_path, monkeypatch):
         # stage 3's first block of the full fused model at 512x512 runs its
         # chain of five 3x3 convs and the projection in two bands: whenever a
-        # conv runs, the only live copies of mapped weights are its own
+        # conv runs a GEMM, the only live copies of mapped weights are the
+        # ones it read, and the GEMM's kernel is the copy of its weight
         path = tmp_path / "full.acfd"
         save_file(fuse_model(build_model(full_config(), seed=1)), path)
         block = load_file(path).backbone.stages[2][0]
-        copies, convs = [], []
-        read, run = backbone.resident, backbone.block_forward
+        reads, gemms = [], []
+        read, matmul = tensor_ops.resident, np.matmul
 
-        def traced_read(tree):
-            copy = read(tree)
-            copies.extend(weakref.ref(a) for a in tree_arrays(copy))
-            return copy
+        def traced_read(*arrays):
+            copies = read(*arrays)
+            reads.append([weakref.ref(a) for a in copies if a is not None])
+            return copies
 
-        def checked_run(x, conv, *args):
-            live = [a for a in (ref() for ref in copies) if a is not None]
-            convs.append(bool(live) and all(any(a is b for b in tree_arrays(conv)) for a in live))
-            return run(x, conv, *args)
-        monkeypatch.setattr(backbone, "resident", traced_read)
-        monkeypatch.setattr(backbone, "block_forward", checked_run)
+        def checked_matmul(kernel, cols, out):
+            live = [a for refs in reads for a in (ref() for ref in refs) if a is not None]
+            latest = [ref() for ref in reads[-1]]
+            gemms.append(all(any(a is b for b in latest) for a in live)
+                         and kernel.base is latest[0])
+            return matmul(kernel, cols, out=out)
+        monkeypatch.setattr(tensor_ops, "resident", traced_read)
+        monkeypatch.setattr(np, "matmul", checked_matmul)
         x = np.random.default_rng(2).standard_normal((1, 512, 32, 32), dtype=np.float32)
         gc.disable()
         try:
             backbone.aosa_forward(x, block)
         finally:
             gc.enable()
-        assert len(convs) > len(block.acbs) + 1 and all(convs)
+        # one read per conv and band, and one for the eSE
+        assert len(reads) > len(block.acbs) + 2 and gemms and all(gemms)
 
     @pytest.mark.parametrize("cut", ["payload start", "mid payload", "last byte"])
     def test_file_cut_after_load_is_one_bad_container_line(self, tiny_model, cut, tmp_path):
@@ -492,8 +529,8 @@ def _file_offset(arr: np.ndarray) -> int:
 
 
 class TestPartRead:
-    """The forward reads a mapped container in parts, a block of arrays at a
-    time, each through ``resident``: the copies hold the arrays of the blob,
+    """The forward reads a mapped container in parts, a conv's weight and bias
+    at a time, each through ``resident``: the copies hold the arrays of the blob,
     a part that reads short is a changed payload, and a read that fails is
     one ``cannot read`` line."""
 
@@ -527,7 +564,7 @@ class TestPartRead:
             end += from_file[name].nbytes
         assert end == len(blob)
         for run in runs:
-            copies = resident([from_file[name] for name in run])
+            copies = resident(*(from_file[name] for name in run))
             for name, got in zip(run, copies, strict=True):
                 assert got.flags.aligned and got.flags.writeable and _mapping(got) is None
                 assert got.tobytes() == from_blob[name].tobytes()
@@ -542,9 +579,9 @@ class TestPartRead:
         hi = _file_offset(arrays[runs[short][-1]]) + arrays[runs[short][-1]].nbytes
         os.truncate(path, (lo + hi) // 2)
         for run in runs[:short]:
-            resident([arrays[name] for name in run])
+            resident(*(arrays[name] for name in run))
         with pytest.raises(ContainerCorruptionError, match="^payload changed while reading$"):
-            resident([arrays[name] for name in runs[short]])
+            resident(*(arrays[name] for name in runs[short]))
 
     @pytest.mark.parametrize("parts", [2, 5])
     def test_error_in_a_later_part_is_one_cannot_read_line(self, saved, parts,

@@ -13,7 +13,7 @@ from acfd import tensor_ops
 from acfd.postprocess import TEST_SCALES
 from acfd.tensor_ops import (BNSpec, ConvSpec, ShapeError, batch_norm_infer,
                              bilinear_resize, concat_channels, conv2d,
-                             conv_output_shape, global_avg_pool, linear,
+                             conv_output_shape, linear,
                              max_pool2d, relu, resize_nearest, sigmoid)
 from reference import conv2d_direct, max_pool2d_direct
 
@@ -294,22 +294,20 @@ class TestConv2d:
                        buf[:, 1:129, lo:hi], 1)
             return buf
 
-        calls = []
+        parts = []
         run_parts = tensor_ops.run_parts
-        monkeypatch.setattr(tensor_ops, "run_parts", lambda part, total, count, pool:
-                            calls.append((total, count)) or run_parts(part, total, count, pool))
+        monkeypatch.setattr(tensor_ops, "run_parts", lambda part, count, pool:
+                            parts.append(count) or run_parts(part, count, pool))
         want = run()
         for workers in (1, 2, 3):
             with tensor_ops.row_workers(workers):
                 assert run().tobytes() == want.tobytes(), workers
-        parts = [count for _, count in calls]
         assert parts[:3] == [1, 1, 2] and parts[3] in (2, 3)
-        if kernel == (1, 1):  # its parts run contiguous ranges of rows
-            return
-        # one-row blocks, and the calling thread's GEMMs slowed: the pool
-        # thread takes the blocks the caller would have run, beyond its half
-        # of a static split; each block still runs once, into its own rows,
-        # and the bytes are one thread's
+        # one-row blocks (a 1x1 conv's are half an image's rows on two parts),
+        # and the calling thread's GEMMs slowed: the pool thread takes the
+        # blocks the caller would have run, beyond its half of a static split;
+        # each block still runs once, into its own rows, and the bytes are one
+        # thread's
         set_block_rows(monkeypatch, 1, x, spec)
         want = run()
         caller, ran = threading.current_thread(), []
@@ -324,24 +322,30 @@ class TestConv2d:
         monkeypatch.setattr(np, "matmul", slowed)
         with tensor_ops.row_workers(2):
             assert run().tobytes() == want.tobytes()
-        blocks = calls[-1][0]
+        blocks = n * (2 if kernel == (1, 1) else hi - lo if cut == "row0-cut" else oh)
         assert len(ran) == len({at for _, at in ran}) == blocks
-        assert sum(mine for mine, _ in ran) < blocks // 2
+        if blocks > 2:  # of two blocks, a static split gives the caller one as well
+            assert sum(mine for mine, _ in ran) < blocks // 2
 
-    def test_dealt_blocks_run_once_with_more_workers_than_cpus(self, monkeypatch):
-        # four parts take 80 one-row blocks from their shared count while the
-        # interpreter switches threads every microsecond: a block dealt twice
-        # or never would show as a repeated or missing output address
+    @pytest.mark.parametrize("kernel, padding, blocks", [((3, 3), (1, 1), 80),
+                                                         ((1, 1), (0, 0), 8)],
+                             ids=["3x3", "1x1"])
+    def test_dealt_blocks_run_once_with_more_workers_than_cpus(self, kernel, padding, blocks,
+                                                              monkeypatch):
+        # four parts take the blocks from their shared count, one-row blocks
+        # or a 1x1 conv's quarters of an image, while the interpreter switches
+        # threads every microsecond: a block dealt twice or never would show
+        # as a repeated or missing output address
         rng = np.random.default_rng(20)
         x = rng.standard_normal((2, 128, 40, 48), dtype=np.float32)
-        spec = make_conv(rng.normal(size=(128, 128, 3, 3)), padding=(1, 1))
+        spec = make_conv(rng.normal(size=(128, 128, *kernel)), padding=padding)
         set_block_rows(monkeypatch, 1, x, spec)
         want = conv2d(x, spec)
         ran, matmul, parts, run_parts = [], np.matmul, [], tensor_ops.run_parts
         monkeypatch.setattr(np, "matmul", lambda a, b, out:
                             ran.append(out.ctypes.data) or matmul(a, b, out=out))
-        monkeypatch.setattr(tensor_ops, "run_parts", lambda part, total, count, pool:
-                            parts.append(count) or run_parts(part, total, count, pool))
+        monkeypatch.setattr(tensor_ops, "run_parts", lambda part, count, pool:
+                            parts.append(count) or run_parts(part, count, pool))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -350,7 +354,7 @@ class TestConv2d:
         finally:
             sys.setswitchinterval(interval)
         assert got.tobytes() == want.tobytes()
-        assert parts == [4] and len(ran) == len(set(ran)) == 80
+        assert parts == [4] and len(ran) == len(set(ran)) == blocks
 
     def test_one_output_channel_splits_by_images(self, monkeypatch):
         # numpy runs a one-row weight as a matrix-vector product, whose sums
@@ -358,15 +362,17 @@ class TestConv2d:
         rng = np.random.default_rng(19)
         x = rng.standard_normal((3, 16, 12, 10), dtype=np.float32)
         spec = make_conv(rng.normal(size=(1, 16, 1, 1)))
-        calls = []
+        parts = []
         run_parts = tensor_ops.run_parts
-        monkeypatch.setattr(tensor_ops, "run_parts", lambda part, total, count, pool:
-                            calls.append((total, count)) or run_parts(part, total, count, pool))
+        monkeypatch.setattr(tensor_ops, "run_parts", lambda part, count, pool:
+                            parts.append(count) or run_parts(part, count, pool))
         monkeypatch.setattr(tensor_ops, "PART_MACS", 1)
-        want = conv2d(x, spec)
+        want, ran, matmul = conv2d(x, spec), [], np.matmul
+        monkeypatch.setattr(np, "matmul", lambda a, b, out:
+                            ran.append(out.shape) or matmul(a, b, out=out))
         with tensor_ops.row_workers(2):
             assert conv2d(x, spec).tobytes() == want.tobytes()
-        assert calls == [(3, 1), (3, 2)]
+        assert parts == [1, 2] and ran == [(1, 120)] * 3
 
     def test_row0_without_out_raises(self):
         spec = make_conv(np.ones((4, 3, 3, 3)), padding=(1, 1))
@@ -517,14 +523,6 @@ class TestPooling:
             tracemalloc.stop()
         assert out.shape == (1, 64, 64, 64)
         assert peak <= 3 * out.nbytes + 2**17
-
-    def test_global_avg_pool(self):
-        x = np.array([[[[1.0, 2.0], [3.0, 4.0]]]], dtype=np.float32)
-        assert global_avg_pool(x)[0, 0, 0, 0] == 2.5
-        const = np.full((2, 3, 4, 4), 1.25, dtype=np.float32)
-        np.testing.assert_array_equal(global_avg_pool(const),
-                                      np.full((2, 3, 1, 1), 1.25))
-        assert np.all(global_avg_pool(np.zeros((1, 1, 2, 2))) == 0.0)
 
 
 class TestLinear:
@@ -729,6 +727,6 @@ def test_all_ops_preserve_finiteness():
     out = batch_norm_infer(conv2d(x, spec), bn)
     # relu rectifies in place, so it gets a copy and the other ops see out
     for t in (out, relu(out.copy()), sigmoid(out),
-              max_pool2d(out, (3, 3), (2, 2), (1, 1)), global_avg_pool(out),
+              max_pool2d(out, (3, 3), (2, 2), (1, 1)),
               resize_nearest(out, (18, 27))):
         assert np.all(np.isfinite(t))
